@@ -214,6 +214,17 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
+/// Nearest-rank percentile (`p` in `[0, 1]`) of a sample set; 0.0 on
+/// empty input.
+pub fn percentile(samples: &[f64], p: f64) -> f64 {
+    if samples.is_empty() {
+        return 0.0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[((sorted.len() as f64 - 1.0) * p).round() as usize]
+}
+
 /// Median absolute deviation from the median; 0.0 for fewer than two
 /// samples (a single measurement carries no spread information).
 pub fn mad(samples: &[f64]) -> f64 {
@@ -285,6 +296,15 @@ mod tests {
         assert_eq!(t.samples, vec![0.25]);
         assert_eq!(t.median, 0.25);
         assert_eq!(t.mad, 0.0);
+    }
+
+    #[test]
+    fn percentiles_are_nearest_rank() {
+        let xs = [5.0, 1.0, 4.0, 2.0, 3.0];
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 0.5), 3.0);
+        assert_eq!(percentile(&xs, 0.99), 5.0);
+        assert_eq!(percentile(&[], 0.5), 0.0);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! per-experiment index). Each returns a [`Table`] that the `experiments`
 //! binary prints; the Criterion benches reuse the same workload setups.
 
+use crate::report::percentile;
 use crate::scheduler;
 use crate::table::{f2, f3, Table};
 use dds_baselines::SnapshotNode;
@@ -1200,8 +1201,8 @@ pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
 pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
     use dds_net::serving::{loadgen, Client, LoadgenOptions, Server};
 
-    // Every ingest verb republishes the settled view via checkpoint →
-    // restore, so the tier's cost scales with state size × churn rounds;
+    // Every ingest verb republishes the settled view by cloning the
+    // session, so the tier's cost scales with state size × churn rounds;
     // serving behavior, not raw scale, is what s5 measures.
     let n = n.clamp(16, 2_000);
     let churn_rounds = rounds.clamp(10, 150);
@@ -1221,6 +1222,7 @@ pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
     );
     let clients = scheduler::available_jobs().clamp(2, 4);
     let queries_per_client = 120;
+    let mut writer_notes = Vec::new();
     for protocol in ["two-hop", "triangle", "snapshot"] {
         let trace = er_trace(n, churn_rounds, 0x55);
         let server = Server::bind("127.0.0.1:0", crate::driver::protocols()).expect("bind");
@@ -1272,15 +1274,8 @@ pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
         handle.stop();
         thread.join().expect("server thread");
 
-        let mut lats: Vec<f64> = report.latencies.clone();
-        lats.sort_by(f64::total_cmp);
-        let pct = |p: f64| -> f64 {
-            if lats.is_empty() {
-                return 0.0;
-            }
-            let idx = ((lats.len() as f64 - 1.0) * p).round() as usize;
-            lats[idx]
-        };
+        let pct = |p: f64| percentile(&report.latencies, p);
+        writer_notes.push(writer_note(protocol, "", &report));
         t.row(vec![
             protocol.to_string(),
             n.to_string(),
@@ -1296,7 +1291,23 @@ pub fn s5_serving_tier(n: usize, rounds: usize) -> Table {
     t.note("each row: a live daemon on an ephemeral port, N reader connections issuing a fixed");
     t.note("query count each while one writer ingests the er schedule round by round; zero query");
     t.note("errors and post-burst checkpoint byte-identity vs a local session asserted in-runner");
+    t.note("QPS = reader queries / reader wall time; the churn writer is timed on its own:");
+    for note in writer_notes {
+        t.note(note);
+    }
     t
+}
+
+/// One table note with the churn writer's own rate and per-write latency
+/// (kept out of the row so the column set matches earlier reports).
+fn writer_note(protocol: &str, mode: &str, report: &dds_net::serving::LoadgenReport) -> String {
+    format!(
+        "  {protocol}{mode}: writer {:.1} writes/s, write p50 {:.0} us, p99 {:.0} us ({} writes)",
+        report.writes_per_sec(),
+        percentile(&report.write_latencies, 0.50) * 1e6,
+        percentile(&report.write_latencies, 0.99) * 1e6,
+        report.write_latencies.len()
+    )
 }
 
 /// S6: the resilience tier — the serving tier rerun under a seeded
@@ -1334,6 +1345,7 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
     );
     let clients = scheduler::available_jobs().clamp(2, 4);
     let queries_per_client = 80;
+    let mut writer_notes = Vec::new();
     // No crash points: the bench runs in-process and must finish; kill -9
     // recovery drills live in the chaos integration tests and CI job.
     let chaos_spec = "seed=13,drop=0.08,torn=0.05,corrupt=0.05";
@@ -1446,6 +1458,7 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
             handle.stop();
             thread.join().expect("server thread");
 
+            writer_notes.push(writer_note(protocol, &format!("/{mode}"), &report));
             let row = vec![
                 protocol.to_string(),
                 n.to_string(),
@@ -1518,6 +1531,10 @@ pub fn s6_resilience_tier(n: usize, rounds: usize) -> Table {
     t.note("client; both checkpoints asserted byte-identical to a local session. recovery ms =");
     t.note("bind + --recover scan + first checkpoint answered from the durable dir; gated in-");
     t.note("runner against max(resim/10, 100ms), the PR 8 restore bound through the daemon path");
+    t.note("QPS = reader queries / reader wall time; the churn writer is timed on its own:");
+    for note in writer_notes {
+        t.note(note);
+    }
     t
 }
 

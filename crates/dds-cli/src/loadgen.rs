@@ -18,7 +18,7 @@
 //! replaying batches its topology has already absorbed.
 
 use crate::args::Args;
-use dds_bench::report::{mad, median};
+use dds_bench::report::{mad, median, percentile};
 use dds_net::serving::{loadgen, Client, ClientConfig, LoadgenOptions};
 use dds_net::{NodeId, Query};
 use serde::Value;
@@ -113,6 +113,8 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
 
     let lat_median = median(&report.latencies);
     let lat_mad = mad(&report.latencies);
+    let write_p50 = percentile(&report.write_latencies, 0.50);
+    let write_p99 = percentile(&report.write_latencies, 0.99);
     if args.flag("json") {
         // `request_errors` and `first_error` carry the failure context a
         // bare nonzero exit code used to swallow: which verbs failed, how
@@ -129,6 +131,10 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
         println!("  \"qps\": {:.1},", report.qps());
         println!("  \"latency_median_us\": {:.1},", lat_median * 1e6);
         println!("  \"latency_mad_us\": {:.1},", lat_mad * 1e6);
+        println!("  \"write_seconds\": {:.6},", report.write_seconds);
+        println!("  \"writes_per_sec\": {:.1},", report.writes_per_sec());
+        println!("  \"write_p50_us\": {:.1},", write_p50 * 1e6);
+        println!("  \"write_p99_us\": {:.1},", write_p99 * 1e6);
         println!("  \"retries\": {},", report.retries);
         println!("  \"reconnects\": {},", report.reconnects);
         let verbs: Vec<String> = report
@@ -165,7 +171,7 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
             report.answered, report.inconsistent, report.errors
         );
         println!(
-            "rate:      {:.0} queries/s over {:.3}s wall",
+            "rate:      {:.0} queries/s over {:.3}s reader wall",
             report.qps(),
             report.wall_seconds
         );
@@ -174,6 +180,15 @@ pub fn cmd_loadgen(args: &Args) -> Result<(), String> {
             lat_median * 1e6,
             lat_mad * 1e6
         );
+        if report.churn_rounds > 0 {
+            println!(
+                "writes:    {:.1} writes/s over {:.3}s writer wall, p50 {:.1}us, p99 {:.1}us",
+                report.writes_per_sec(),
+                report.write_seconds,
+                write_p50 * 1e6,
+                write_p99 * 1e6
+            );
+        }
         if report.retries > 0 || report.reconnects > 0 {
             println!(
                 "faults:    {} retry(s), {} reconnect(s) absorbed",

@@ -192,14 +192,23 @@ pub struct Snapshot {
     /// The validated header.
     pub header: SnapshotHeader,
     body: Value,
+    /// The body's canonical (compact) JSON: what the header checksum
+    /// covers, spliced verbatim into [`Snapshot::to_json`] so a body is
+    /// serialized exactly once.
+    body_json: String,
 }
 
 impl Snapshot {
     /// Pair a header with a captured body, stamping the body's checksum
     /// into the header.
     pub fn new(mut header: SnapshotHeader, body: Value) -> Self {
-        header.checksum = body_checksum(&body);
-        Snapshot { header, body }
+        let body_json = serde_json::to_string(&body).expect("json write is infallible");
+        header.checksum = fnv1a64(body_json.as_bytes());
+        Snapshot {
+            header,
+            body,
+            body_json,
+        }
     }
 
     /// The engine-state section.
@@ -207,14 +216,10 @@ impl Snapshot {
         &self.body
     }
 
-    /// Serialize to the on-disk JSON document. Compact (no whitespace):
-    /// snapshot files are read far more often than eyeballed, and at
-    /// production sizes (tens of MB) pretty-printing roughly doubles both
-    /// the file and the restore-time parse — pipe through `python3 -m
-    /// json.tool` when a human actually needs to look inside one.
-    pub fn to_json(&self) -> String {
+    /// The header section as a value tree, fields in on-disk order.
+    fn header_value(&self) -> Value {
         let h = &self.header;
-        let header = obj(vec![
+        obj(vec![
             ("format", Value::Str(SNAPSHOT_FORMAT.into())),
             ("version", Value::U64(h.version as u64)),
             ("protocol", Value::Str(h.protocol.clone())),
@@ -227,11 +232,18 @@ impl Snapshot {
             ("record_stats", Value::Bool(h.record_stats)),
             ("bandwidth", serde::Serialize::to_value(&h.bandwidth)),
             ("checksum", Value::U64(h.checksum)),
-        ]);
-        let doc = obj(vec![("header", header), ("body", self.body.clone())]);
-        let mut s = serde_json::to_string(&doc).expect("json write is infallible");
-        s.push('\n');
-        s
+        ])
+    }
+
+    /// Serialize to the on-disk JSON document: `{"header":…,"body":…}`
+    /// plus a newline. Compact (no whitespace): snapshot files are read
+    /// far more often than eyeballed, and at production sizes (tens of
+    /// MB) pretty-printing roughly doubles both the file and the
+    /// restore-time parse — pipe through `python3 -m json.tool` when a
+    /// human actually needs to look inside one.
+    pub fn to_json(&self) -> String {
+        let header = serde_json::to_string(&self.header_value()).expect("json write is infallible");
+        format!("{{\"header\":{header},\"body\":{}}}\n", self.body_json)
     }
 
     /// Parse and validate an on-disk snapshot document: JSON shape, format
@@ -287,18 +299,25 @@ impl Snapshot {
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
             checksum: hu64("checksum")?,
         };
-        let body = doc
-            .get("body")
-            .ok_or_else(|| RestoreError::Corrupt("missing `body` section".into()))?
-            .clone();
-        let actual = body_checksum(&body);
+        let body = match doc {
+            Value::Obj(sections) => sections.into_iter().find(|(k, _)| k == "body"),
+            _ => None,
+        }
+        .ok_or_else(|| RestoreError::Corrupt("missing `body` section".into()))?
+        .1;
+        let body_json = serde_json::to_string(&body).expect("json write is infallible");
+        let actual = fnv1a64(body_json.as_bytes());
         if actual != header.checksum {
             return Err(RestoreError::ChecksumMismatch {
                 expected: header.checksum,
                 actual,
             });
         }
-        Ok(Snapshot { header, body })
+        Ok(Snapshot {
+            header,
+            body,
+            body_json,
+        })
     }
 
     /// Write the snapshot to a file, atomically: a crash mid-write must
@@ -390,13 +409,6 @@ fn checkpoint_file_round(name: &str) -> Option<u64> {
         return None;
     }
     digits.parse().ok()
-}
-
-/// The checksum the header carries: FNV-1a 64 over the body's canonical
-/// (compact) JSON serialization.
-fn body_checksum(body: &Value) -> u64 {
-    let canonical = serde_json::to_string(body).expect("json write is infallible");
-    fnv1a64(canonical.as_bytes())
 }
 
 /// FNV-1a 64-bit hash — the snapshot content checksum. Stable, dependency
@@ -503,6 +515,39 @@ mod tests {
             serde_json::to_string(back.body()).unwrap(),
             serde_json::to_string(snap.body()).unwrap()
         );
+    }
+
+    /// The whole-tree writer `to_json` used before it spliced the cached
+    /// body text: one `{header, body}` value serialized in a single pass.
+    /// The reference the spliced document must match byte for byte.
+    fn tree_json(snap: &Snapshot) -> String {
+        let doc = obj(vec![
+            ("header", snap.header_value()),
+            ("body", snap.body().clone()),
+        ]);
+        format!("{}\n", serde_json::to_string(&doc).unwrap())
+    }
+
+    #[test]
+    fn spliced_json_matches_the_tree_writer_for_every_golden_protocol() {
+        // One committed fixture per registered protocol (the golden-snapshot
+        // test in tests/checkpoint_restore.rs keeps that set complete).
+        let dir =
+            std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/golden/snapshots");
+        let mut seen = 0;
+        for entry in std::fs::read_dir(&dir).expect("golden snapshot fixtures") {
+            let path = entry.unwrap().path();
+            let doc = std::fs::read_to_string(&path).unwrap();
+            let snap = Snapshot::from_json(&doc).unwrap();
+            let label = path.display();
+            assert_eq!(snap.to_json(), doc, "{label}: from_json ∘ to_json");
+            assert_eq!(tree_json(&snap), doc, "{label}: tree writer");
+            // The capture path (`new`) serializes the body itself.
+            let fresh = Snapshot::new(snap.header.clone(), snap.body().clone());
+            assert_eq!(fresh.to_json(), doc, "{label}: captured body");
+            seen += 1;
+        }
+        assert!(seen >= 6, "expected a fixture per protocol, found {seen}");
     }
 
     #[test]

@@ -56,7 +56,7 @@ use crate::message::{Flags, Received};
 /// Per-shard staging scratch, reused round to round. Each shard task
 /// writes only here (plus its own node/flag sub-slices); the engine's
 /// sequential middle merges the shards' sorted runs back together.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct ShardScratch<M> {
     /// Routed payloads `(receiver, sender, message)`, sorted by
     /// `(receiver, sender)` at the end of the shard task.
@@ -138,7 +138,7 @@ pub(crate) struct RecvParts<'a, M> {
 }
 
 /// Flat, reusable per-round scratch space; one per [`crate::Simulator`].
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct RoundBuffers<M> {
     /// Sorted adjacency of `G_i`, maintained incrementally (invariant 2).
     pub(crate) nbrs: Vec<Vec<NodeId>>,

@@ -63,13 +63,20 @@ pub struct LoadgenReport {
     pub inconsistent: u64,
     /// Query errors (unsupported/malformed) — 0 on a healthy run.
     pub errors: u64,
-    /// Wall-clock seconds from first to last request across all clients.
+    /// Reader wall time: seconds from the start of the run until the last
+    /// reader finished. The churn writer is timed separately
+    /// (`write_seconds`), so a slow writer does not dilute the query rate.
     pub wall_seconds: f64,
     /// Client-observed per-request latencies in seconds, all clients
     /// concatenated (unordered).
     pub latencies: Vec<f64>,
     /// Rounds the concurrent churn writer ingested (0 without churn).
     pub churn_rounds: u64,
+    /// Writer wall time: seconds from the start of the run until the churn
+    /// writer's last reply (0 without churn).
+    pub write_seconds: f64,
+    /// Client-observed latency of each acknowledged ingest, in seconds.
+    pub write_latencies: Vec<f64>,
     /// Failed requests by verb (after any retries were exhausted).
     pub request_errors: BTreeMap<String, u64>,
     /// The first failed request, with verb + watermark context.
@@ -81,12 +88,20 @@ pub struct LoadgenReport {
 }
 
 impl LoadgenReport {
-    /// Queries per wall-clock second.
+    /// Reader queries per second of reader wall time.
     pub fn qps(&self) -> f64 {
         if self.wall_seconds <= 0.0 {
             return 0.0;
         }
         self.queries as f64 / self.wall_seconds
+    }
+
+    /// Acknowledged churn writes per second of writer wall time.
+    pub fn writes_per_sec(&self) -> f64 {
+        if self.write_seconds <= 0.0 {
+            return 0.0;
+        }
+        self.churn_rounds as f64 / self.write_seconds
     }
 
     /// Total failed requests (all verbs, after retries).
@@ -110,8 +125,11 @@ impl LoadgenReport {
         self.answered += part.answered;
         self.inconsistent += part.inconsistent;
         self.errors += part.errors;
+        self.wall_seconds = self.wall_seconds.max(part.wall_seconds);
         self.latencies.extend(part.latencies);
         self.churn_rounds += part.churn_rounds;
+        self.write_seconds = self.write_seconds.max(part.write_seconds);
+        self.write_latencies.extend(part.write_latencies);
         for (verb, count) in part.request_errors {
             *self.request_errors.entry(verb).or_insert(0) += count;
         }
@@ -178,8 +196,10 @@ pub fn run(
                 };
                 let mut watermark = 0u64;
                 for batch in churn {
+                    let t = Instant::now();
                     match client.ingest(&session, vec![batch.clone()]) {
                         Ok(w) => {
+                            part.write_latencies.push(t.elapsed().as_secs_f64());
                             watermark = w;
                             part.churn_rounds += 1;
                         }
@@ -189,6 +209,7 @@ pub fn run(
                         }
                     }
                 }
+                part.write_seconds = t0.elapsed().as_secs_f64();
                 part.retries = client.retries();
                 part.reconnects = client.reconnects();
                 part
@@ -245,6 +266,7 @@ pub fn run(
                             }
                         }
                     }
+                    report.wall_seconds = t0.elapsed().as_secs_f64();
                     report.retries += client.retries();
                     report.reconnects += client.reconnects();
                     Ok(report)
@@ -264,7 +286,6 @@ pub fn run(
                 .map_err(|_| "loadgen churn thread panicked".to_string())?;
             total.absorb(part);
         }
-        total.wall_seconds = t0.elapsed().as_secs_f64();
         Ok(total)
     })
 }
@@ -323,6 +344,30 @@ mod tests {
         assert_eq!(r.qps(), 0.0);
         r.wall_seconds = 2.0;
         assert_eq!(r.qps(), 5.0);
+    }
+
+    #[test]
+    fn query_rate_ignores_the_churn_writers_wall_time() {
+        let reader = |queries, wall_seconds| LoadgenReport {
+            queries,
+            wall_seconds,
+            ..LoadgenReport::default()
+        };
+        let writer = LoadgenReport {
+            churn_rounds: 100,
+            write_seconds: 50.0,
+            write_latencies: vec![0.5; 100],
+            ..LoadgenReport::default()
+        };
+        let mut total = LoadgenReport::default();
+        total.absorb(reader(10, 1.0));
+        total.absorb(reader(10, 2.0));
+        total.absorb(writer);
+        assert_eq!(total.wall_seconds, 2.0, "the slowest reader sets the wall");
+        assert_eq!(total.qps(), 10.0);
+        assert_eq!(total.writes_per_sec(), 2.0);
+        assert_eq!(total.write_latencies.len(), 100);
+        assert_eq!(LoadgenReport::default().writes_per_sec(), 0.0);
     }
 
     #[test]

@@ -494,7 +494,7 @@ fn handle_request(
             seq,
         } => {
             let serving = state.directory.get(&session)?;
-            let watermark = serving.step_quiet(registry, rounds, seq, faults)?;
+            let watermark = serving.step_quiet(rounds, seq, faults)?;
             state.metrics.rounds.fetch_add(rounds, Ordering::Relaxed);
             Ok(wire::ok_response(vec![
                 ("watermark", Value::U64(watermark)),

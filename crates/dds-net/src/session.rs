@@ -51,9 +51,10 @@ trait ErasedSim: Send + Sync {
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary;
     fn config(&self) -> SimConfig;
     fn save_body(&self) -> serde::Value;
+    fn clone_box(&self) -> Box<dyn ErasedSim>;
 }
 
-impl<N: Queryable + Checkpointable> ErasedSim for Simulator<N> {
+impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N> {
     fn n(&self) -> usize {
         Simulator::n(self)
     }
@@ -108,12 +109,19 @@ impl<N: Queryable + Checkpointable> ErasedSim for Simulator<N> {
     fn save_body(&self) -> serde::Value {
         Simulator::save_state(self)
     }
+    fn clone_box(&self) -> Box<dyn ErasedSim> {
+        Box::new(self.clone())
+    }
 }
 
 /// A live, type-erased protocol run that can be stepped, inspected and
 /// queried at any round. Obtained from
 /// [`ProtocolRegistry::open`](crate::engine::ProtocolRegistry::open) (or
 /// [`Session::open`] with an explicit node type).
+///
+/// Cloning copies the whole run — nodes, topology, meters, round scratch
+/// and the busy-time counter — into an independent session that answers,
+/// steps and checkpoints exactly like the original from here on.
 pub struct Session {
     protocol: &'static str,
     supported: &'static [QueryKind],
@@ -131,7 +139,7 @@ impl Session {
     /// Frontends normally go through
     /// [`ProtocolRegistry::open`](crate::engine::ProtocolRegistry::open)
     /// instead, which resolves `N` from the registry name.
-    pub fn open<N: Queryable + Checkpointable + 'static>(
+    pub fn open<N: Queryable + Checkpointable + Clone + 'static>(
         protocol: &'static str,
         n: usize,
         cfg: SimConfig,
@@ -160,7 +168,7 @@ impl Session {
     /// taken from the header verbatim. Frontends normally go through
     /// [`ProtocolRegistry::restore`](crate::engine::ProtocolRegistry::restore),
     /// which resolves `N` from the header's protocol name.
-    pub fn restore<N: Queryable + Checkpointable + 'static>(
+    pub fn restore<N: Queryable + Checkpointable + Clone + 'static>(
         protocol: &'static str,
         snap: &Snapshot,
     ) -> Result<Session, RestoreError> {
@@ -387,6 +395,18 @@ impl Session {
     }
 }
 
+impl Clone for Session {
+    fn clone(&self) -> Session {
+        Session {
+            protocol: self.protocol,
+            supported: self.supported,
+            sim: self.sim.clone_box(),
+            busy_seconds: self.busy_seconds,
+            rss_baseline_mb: self.rss_baseline_mb,
+        }
+    }
+}
+
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Session")
@@ -407,6 +427,7 @@ mod tests {
 
     /// Minimal queryable protocol: tracks incident edges, answers `Edge`
     /// queries about them, always consistent after one round.
+    #[derive(Clone)]
     struct EdgeSet {
         id: NodeId,
         peers: Vec<NodeId>,
@@ -569,6 +590,32 @@ mod tests {
             let q = Query::Edge(edge(1, 2));
             assert_eq!(a.query(NodeId(v), &q), b.query(NodeId(v), &q));
         }
+    }
+
+    #[test]
+    fn clones_are_independent_and_bit_identical() {
+        let trace = sample_trace();
+        let mut a = Session::open::<EdgeSet>("edge-set", 4, SimConfig::default());
+        let mut replay = trace.replay();
+        a.run_to(2, &mut replay);
+        let b = a.clone();
+        assert_eq!(b.checkpoint().to_json(), a.checkpoint().to_json());
+        assert_eq!(
+            b.summary().seconds,
+            a.summary().seconds,
+            "busy time is carried"
+        );
+        a.run_to(3, &mut replay);
+        assert_eq!(b.round(), 2, "stepping the original leaves the clone alone");
+        let q = Query::Edge(edge(1, 2));
+        assert_eq!(
+            b.query(NodeId(1), &q).unwrap(),
+            Response::Answer(Answer::Bool(false))
+        );
+        assert_eq!(
+            a.query(NodeId(1), &q).unwrap(),
+            Response::Answer(Answer::Bool(true))
+        );
     }
 
     #[test]

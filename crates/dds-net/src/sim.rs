@@ -217,6 +217,7 @@ pub struct SimConfig {
 }
 
 /// The simulator: topology + nodes + meters + reusable round scratch.
+#[derive(Clone)]
 pub struct Simulator<N: Node> {
     topo: Topology,
     nodes: Vec<N>,

@@ -1,4 +1,5 @@
-//! Regression tests for the paper gaps documented in DESIGN.md §6.
+//! Regression tests for the paper gaps documented in DESIGN.md, section
+//! "Paper gaps (§6)"; each test cites its subsection.
 //!
 //! Each test replays the *minimized counterexample* that property-based
 //! testing produced against an earlier, more literal reading of the
