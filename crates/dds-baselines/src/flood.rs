@@ -9,7 +9,7 @@
 //!
 //! [`BandwidthPolicy::Observe`]: dds_net::BandwidthPolicy::Observe
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, BodyWriter, Checkpointable, Deserialize as _, Value};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -182,12 +182,10 @@ impl Queryable for FloodNode {
     }
 }
 
-fn fact_value(f: Fact) -> Value {
-    Value::Arr(vec![
-        ckpt::edge_value(f.edge),
-        Value::U64(f.round),
-        Value::Bool(f.insert),
-    ])
+fn write_fact(w: &mut BodyWriter, f: Fact) {
+    w.arr(|w| {
+        w.edge(f.edge).u64(f.round).bool(f.insert);
+    });
 }
 
 fn fact_from(v: &Value, n: usize) -> Result<Fact, String> {
@@ -207,7 +205,7 @@ fn fact_from(v: &Value, n: usize) -> Result<Fact, String> {
 }
 
 impl Checkpointable for FloodNode {
-    fn save_state(&self) -> Value {
+    fn save_state(&self, w: &mut BodyWriter) {
         // Sets/maps sorted; the `outbox` and catch-up history Vecs keep
         // their exact order (it feeds next round's bundles verbatim).
         let mut seen: Vec<Fact> = self.seen.iter().copied().collect();
@@ -218,46 +216,37 @@ impl Checkpointable for FloodNode {
         let mut belief: Vec<(Edge, (Round, bool))> =
             self.belief.iter().map(|(&e, &b)| (e, b)).collect();
         belief.sort_unstable_by_key(|&(e, _)| e);
-        ckpt::obj(vec![
-            (
-                "seen",
-                Value::Arr(seen.into_iter().map(fact_value).collect()),
-            ),
-            (
-                "outbox",
-                Value::Arr(self.outbox.iter().copied().map(fact_value).collect()),
-            ),
-            (
-                "catchup",
-                Value::Arr(
-                    catchup
-                        .into_iter()
-                        .map(|(p, h)| {
-                            Value::Arr(vec![
-                                Value::U64(p.0 as u64),
-                                Value::Arr(h.iter().copied().map(fact_value).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "belief",
-                Value::Arr(
-                    belief
-                        .into_iter()
-                        .map(|(e, (r, present))| {
-                            Value::Arr(vec![
-                                ckpt::edge_value(e),
-                                Value::U64(r),
-                                Value::Bool(present),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        w.obj(|w| {
+            w.key("seen").arr(|w| {
+                for f in seen {
+                    write_fact(w, f);
+                }
+            });
+            w.key("outbox").arr(|w| {
+                for &f in &self.outbox {
+                    write_fact(w, f);
+                }
+            });
+            w.key("catchup").arr(|w| {
+                for (p, h) in catchup {
+                    w.arr(|w| {
+                        w.u64(p.0 as u64).arr(|w| {
+                            for &f in h {
+                                write_fact(w, f);
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("belief").arr(|w| {
+                for (e, (r, present)) in belief {
+                    w.arr(|w| {
+                        w.edge(e).u64(r).bool(present);
+                    });
+                }
+            });
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -321,9 +310,10 @@ mod tests {
         sim.step(&EventBatch::insert(edge(3, 4))); // catch-up pending at 3
         for i in 0..5u32 {
             let node = sim.node(NodeId(i));
-            let saved = node.save_state();
-            let back = FloodNode::load_state(node.id, 5, &saved).unwrap();
-            assert_eq!(back.save_state(), saved, "node {i} roundtrip drifted");
+            let saved = ckpt::state_json(node);
+            let tree = serde_json::from_str(&saved).unwrap();
+            let back = FloodNode::load_state(node.id, 5, &tree).unwrap();
+            assert_eq!(ckpt::state_json(&back), saved, "node {i} roundtrip drifted");
             assert_eq!(back.outbox, node.outbox, "node {i} outbox order");
             assert_eq!(back.seen, node.seen);
             assert_eq!(back.belief, node.belief);

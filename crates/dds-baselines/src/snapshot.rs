@@ -18,7 +18,7 @@
 //!   impossibility threshold — there is provably no asymptotically better
 //!   algorithm.
 
-use dds_net::checkpoint::{self as ckpt, Checkpointable, Deserialize as _, Value};
+use dds_net::checkpoint::{self as ckpt, BodyWriter, Checkpointable, Deserialize as _, Value};
 use dds_net::{
     Answer, BitSized, Edge, Flags, LocalEvent, Node, NodeId, Outbox, Query, QueryError, QueryKind,
     Queryable, Received, Response, Round,
@@ -352,62 +352,54 @@ fn sorted_ids(s: &FxHashSet<NodeId>) -> Vec<NodeId> {
 }
 
 impl Checkpointable for SnapshotNode {
-    fn save_state(&self) -> Value {
-        let queue_item = |item: &QueueItem| match item {
-            QueueItem::Delta { edge, insert } => Value::Arr(vec![
-                Value::Str("delta".into()),
-                ckpt::edge_value(*edge),
-                Value::Bool(*insert),
-            ]),
+    fn save_state(&self, w: &mut BodyWriter) {
+        let queue_item = |w: &mut BodyWriter, item: &QueueItem| match item {
+            QueueItem::Delta { edge, insert } => {
+                w.arr(|w| {
+                    w.str("delta").edge(*edge).bool(*insert);
+                });
+            }
             QueueItem::Chunk(SnapMsg::Chunk {
                 start,
                 span,
                 members,
                 last,
-            }) => Value::Arr(vec![
-                Value::Str("chunk".into()),
-                Value::U64(*start as u64),
-                Value::U64(*span as u64),
-                ckpt::ids_value(members),
-                Value::Bool(*last),
-            ]),
+            }) => {
+                w.arr(|w| {
+                    w.str("chunk")
+                        .u64(*start as u64)
+                        .u64(*span as u64)
+                        .ids(members)
+                        .bool(*last);
+                });
+            }
             QueueItem::Chunk(SnapMsg::Delta { .. }) => {
                 unreachable!("deltas are queued as QueueItem::Delta")
             }
         };
-        ckpt::obj(vec![
-            ("incident", ckpt::ids_value(&sorted_ids(&self.incident))),
-            (
-                "known",
-                Value::Arr(
-                    sorted_peers(&self.known)
-                        .into_iter()
-                        .map(|(p, ns)| {
-                            Value::Arr(vec![
-                                Value::U64(p.0 as u64),
-                                ckpt::ids_value(&sorted_ids(ns)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "queues",
-                Value::Arr(
-                    sorted_peers(&self.queues)
-                        .into_iter()
-                        .map(|(p, q)| {
-                            Value::Arr(vec![
-                                Value::U64(p.0 as u64),
-                                Value::Arr(q.iter().map(queue_item).collect()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("synced", ckpt::ids_value(&sorted_ids(&self.synced))),
-            ("consistent", Value::Bool(self.consistent)),
-        ])
+        w.obj(|w| {
+            w.key("incident").ids(&sorted_ids(&self.incident));
+            w.key("known").arr(|w| {
+                for (p, ns) in sorted_peers(&self.known) {
+                    w.arr(|w| {
+                        w.u64(p.0 as u64).ids(&sorted_ids(ns));
+                    });
+                }
+            });
+            w.key("queues").arr(|w| {
+                for (p, q) in sorted_peers(&self.queues) {
+                    w.arr(|w| {
+                        w.u64(p.0 as u64).arr(|w| {
+                            for item in q {
+                                queue_item(w, item);
+                            }
+                        });
+                    });
+                }
+            });
+            w.key("synced").ids(&sorted_ids(&self.synced));
+            w.key("consistent").bool(self.consistent);
+        });
     }
 
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String> {
@@ -531,9 +523,10 @@ mod tests {
         sim.step_quiet();
         let node = sim.node(NodeId(1));
         assert!(node.backlog() > 0, "test wants a live chunk queue");
-        let saved = node.save_state();
-        let back = SnapshotNode::load_state(node.id, n, &saved).unwrap();
-        assert_eq!(back.save_state(), saved);
+        let saved = ckpt::state_json(node);
+        let tree = serde_json::from_str(&saved).unwrap();
+        let back = SnapshotNode::load_state(node.id, n, &tree).unwrap();
+        assert_eq!(ckpt::state_json(&back), saved);
         assert_eq!(back.backlog(), node.backlog());
         assert_eq!(back.incident, node.incident);
         assert_eq!(back.known, node.known);

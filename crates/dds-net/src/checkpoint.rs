@@ -30,6 +30,7 @@
 use crate::ids::{Edge, NodeId};
 use std::fmt;
 use std::path::Path as FsPath;
+use std::sync::OnceLock;
 
 pub use serde::{Deserialize, Serialize, Value};
 
@@ -41,17 +42,176 @@ pub const SNAPSHOT_FORMAT: &str = "dds-snapshot";
 pub const SNAPSHOT_VERSION: u32 = 1;
 
 /// Protocol node state that can be captured into and rebuilt from a
-/// snapshot value. Implementations must be *lossless and canonical*:
-/// serializing hash maps/sets sorted by key, queues in order — so equal
-/// states produce equal bytes and `load_state(save_state(x)) == x` in
-/// every observable respect.
+/// snapshot. Capture writes canonical JSON text straight into a
+/// [`BodyWriter`]; restore reads a parsed [`Value`]. Implementations must
+/// be *lossless and canonical*: hash maps/sets written sorted by key,
+/// queues in order — so equal states produce equal bytes and restoring a
+/// capture, then capturing again, reproduces the same text.
 pub trait Checkpointable: Sized {
-    /// Capture this node's full state.
-    fn save_state(&self) -> Value;
+    /// Write this node's full state as one JSON value.
+    fn save_state(&self, out: &mut BodyWriter);
 
     /// Rebuild a node from a captured state. `id`/`n` are the same
     /// arguments the node was constructed with.
     fn load_state(id: NodeId, n: usize, v: &Value) -> Result<Self, String>;
+}
+
+/// Streaming writer of canonical snapshot JSON: the capture path writes
+/// the body text in one pass, with no intermediate [`Value`] tree.
+/// It tracks only whether the next item needs a separating comma;
+/// integers, strings and embedded trees go through `serde_json`'s own
+/// writers, so the text is byte-identical to serializing the equivalent
+/// tree. The body checksum is folded in as each container closes, while
+/// the bytes are still in cache, rather than in a second pass.
+#[derive(Debug)]
+pub struct BodyWriter {
+    out: String,
+    /// The innermost open container already holds an item, so the next
+    /// one (or the next key) is preceded by a comma.
+    needs_comma: bool,
+    /// FNV-1a 64 of `out[..hashed]`.
+    hash: u64,
+    hashed: usize,
+}
+
+impl Default for BodyWriter {
+    fn default() -> Self {
+        BodyWriter {
+            out: String::new(),
+            needs_comma: false,
+            hash: FNV_OFFSET,
+            hashed: 0,
+        }
+    }
+}
+
+impl BodyWriter {
+    /// An empty writer; write exactly one top-level value into it.
+    pub fn new() -> Self {
+        BodyWriter::default()
+    }
+
+    #[inline]
+    fn hash_tail(&mut self) {
+        self.hash = fnv1a64_from(self.hash, &self.out.as_bytes()[self.hashed..]);
+        self.hashed = self.out.len();
+    }
+
+    /// The text written and its [`fnv1a64`] checksum.
+    pub fn finish(mut self) -> (String, u64) {
+        self.hash_tail();
+        (self.out, self.hash)
+    }
+
+    #[inline]
+    fn item(&mut self) {
+        if self.needs_comma {
+            self.out.push(',');
+        }
+        self.needs_comma = true;
+    }
+
+    #[inline]
+    fn container(&mut self, open: char, close: char, f: impl FnOnce(&mut Self)) -> &mut Self {
+        self.item();
+        self.out.push(open);
+        self.needs_comma = false;
+        f(self);
+        self.out.push(close);
+        self.needs_comma = true;
+        self.hash_tail();
+        self
+    }
+
+    /// An object whose `key`/value pairs `f` writes.
+    #[inline]
+    pub fn obj(&mut self, f: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('{', '}', f)
+    }
+
+    /// An array whose items `f` writes.
+    #[inline]
+    pub fn arr(&mut self, f: impl FnOnce(&mut Self)) -> &mut Self {
+        self.container('[', ']', f)
+    }
+
+    /// An object key; the next write is its value.
+    #[inline]
+    pub fn key(&mut self, k: &str) -> &mut Self {
+        self.item();
+        serde_json::write_string(k, &mut self.out);
+        self.out.push(':');
+        self.needs_comma = false;
+        self
+    }
+
+    /// An unsigned integer.
+    #[inline]
+    pub fn u64(&mut self, n: u64) -> &mut Self {
+        self.item();
+        serde_json::write_u64(n, &mut self.out);
+        self
+    }
+
+    /// A boolean.
+    #[inline]
+    pub fn bool(&mut self, b: bool) -> &mut Self {
+        self.item();
+        self.out.push_str(if b { "true" } else { "false" });
+        self
+    }
+
+    /// A string.
+    #[inline]
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.item();
+        serde_json::write_string(s, &mut self.out);
+        self
+    }
+
+    /// `null`.
+    #[inline]
+    pub fn null(&mut self) -> &mut Self {
+        self.item();
+        self.out.push_str("null");
+        self
+    }
+
+    /// An already-built value tree — for small derived parts (meters,
+    /// the stats log) that render through their `Serialize` impls.
+    #[inline]
+    pub fn value(&mut self, v: &Value) -> &mut Self {
+        self.item();
+        serde_json::write_value(v, &mut self.out);
+        self
+    }
+
+    /// Canonical edge encoding: `[lo, hi]`.
+    #[inline]
+    pub fn edge(&mut self, e: Edge) -> &mut Self {
+        self.arr(|w| {
+            w.u64(e.lo().0 as u64).u64(e.hi().0 as u64);
+        })
+    }
+
+    /// Canonical node-id list encoding (callers pass them already sorted
+    /// when the source is a set).
+    #[inline]
+    pub fn ids(&mut self, ids: &[NodeId]) -> &mut Self {
+        self.arr(|w| {
+            for v in ids {
+                w.u64(v.0 as u64);
+            }
+        })
+    }
+}
+
+/// One value's captured state as canonical JSON text — what it
+/// contributes to a snapshot body.
+pub fn state_json<T: Checkpointable>(x: &T) -> String {
+    let mut w = BodyWriter::new();
+    x.save_state(&mut w);
+    w.finish().0
 }
 
 /// Typed failures of snapshot reading/restore. Every corruption mode the
@@ -191,48 +351,71 @@ impl SnapshotHeader {
 pub struct Snapshot {
     /// The validated header.
     pub header: SnapshotHeader,
-    body: Value,
-    /// The body's canonical (compact) JSON: what the header checksum
-    /// covers, spliced verbatim into [`Snapshot::to_json`] so a body is
-    /// serialized exactly once.
+    /// The body's canonical (compact) JSON, the source of truth: what the
+    /// header checksum covers, spliced verbatim into
+    /// [`Snapshot::to_json`].
     body_json: String,
+    /// The body as a value tree, for restore. A captured snapshot parses
+    /// its text on first use; a parsed or tree-built one starts filled.
+    body: OnceLock<Value>,
 }
 
 impl Snapshot {
-    /// Pair a header with a captured body, stamping the body's checksum
-    /// into the header.
-    pub fn new(mut header: SnapshotHeader, body: Value) -> Self {
-        let body_json = serde_json::to_string(&body).expect("json write is infallible");
-        header.checksum = fnv1a64(body_json.as_bytes());
+    /// Pair a header with a body given as a value tree, stamping the
+    /// body's checksum into the header. The text goes through the same
+    /// writer as [`Snapshot::capture`].
+    pub fn new(header: SnapshotHeader, body: Value) -> Self {
+        let mut w = BodyWriter::new();
+        w.value(&body);
+        let mut snap = Snapshot::capture(header, w);
+        snap.body = OnceLock::from(body);
+        snap
+    }
+
+    /// Pair a header with a body written into `body`, stamping the body's
+    /// checksum into the header. No value tree is built.
+    pub fn capture(mut header: SnapshotHeader, body: BodyWriter) -> Self {
+        let (body_json, checksum) = body.finish();
+        header.checksum = checksum;
         Snapshot {
             header,
-            body,
             body_json,
+            body: OnceLock::new(),
         }
     }
 
-    /// The engine-state section.
+    /// The engine-state section as a value tree (parsed once, on first
+    /// call, for a captured snapshot).
     pub fn body(&self) -> &Value {
-        &self.body
+        self.body.get_or_init(|| {
+            serde_json::from_str(&self.body_json).expect("a captured body is valid JSON")
+        })
     }
 
-    /// The header section as a value tree, fields in on-disk order.
-    fn header_value(&self) -> Value {
+    /// The body's canonical JSON text (what the header checksum covers).
+    pub fn body_json(&self) -> &str {
+        &self.body_json
+    }
+
+    /// The header section as JSON text, fields in on-disk order.
+    fn header_json(&self) -> String {
         let h = &self.header;
-        obj(vec![
-            ("format", Value::Str(SNAPSHOT_FORMAT.into())),
-            ("version", Value::U64(h.version as u64)),
-            ("protocol", Value::Str(h.protocol.clone())),
-            ("n", Value::U64(h.n as u64)),
-            ("round", Value::U64(h.round)),
-            ("engine", Value::Str(h.engine.clone())),
-            ("shards", Value::Str(h.shards.clone())),
-            ("scheduling", Value::Str(h.scheduling.clone())),
-            ("parallel", Value::Bool(h.parallel)),
-            ("record_stats", Value::Bool(h.record_stats)),
-            ("bandwidth", serde::Serialize::to_value(&h.bandwidth)),
-            ("checksum", Value::U64(h.checksum)),
-        ])
+        let mut w = BodyWriter::new();
+        w.obj(|w| {
+            w.key("format").str(SNAPSHOT_FORMAT);
+            w.key("version").u64(h.version as u64);
+            w.key("protocol").str(&h.protocol);
+            w.key("n").u64(h.n as u64);
+            w.key("round").u64(h.round);
+            w.key("engine").str(&h.engine);
+            w.key("shards").str(&h.shards);
+            w.key("scheduling").str(&h.scheduling);
+            w.key("parallel").bool(h.parallel);
+            w.key("record_stats").bool(h.record_stats);
+            w.key("bandwidth").value(&h.bandwidth.to_value());
+            w.key("checksum").u64(h.checksum);
+        });
+        w.finish().0
     }
 
     /// Serialize to the on-disk JSON document: `{"header":…,"body":…}`
@@ -242,8 +425,11 @@ impl Snapshot {
     /// restore-time parse — pipe through `python3 -m json.tool` when a
     /// human actually needs to look inside one.
     pub fn to_json(&self) -> String {
-        let header = serde_json::to_string(&self.header_value()).expect("json write is infallible");
-        format!("{{\"header\":{header},\"body\":{}}}\n", self.body_json)
+        format!(
+            "{{\"header\":{},\"body\":{}}}\n",
+            self.header_json(),
+            self.body_json
+        )
     }
 
     /// Parse and validate an on-disk snapshot document: JSON shape, format
@@ -315,8 +501,8 @@ impl Snapshot {
         }
         Ok(Snapshot {
             header,
-            body,
             body_json,
+            body: OnceLock::from(body),
         })
     }
 
@@ -414,7 +600,13 @@ fn checkpoint_file_round(name: &str) -> Option<u64> {
 /// FNV-1a 64-bit hash — the snapshot content checksum. Stable, dependency
 /// free, and fast enough to hash multi-megabyte bodies at restore time.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_from(FNV_OFFSET, bytes)
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+#[inline]
+fn fnv1a64_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -423,18 +615,8 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// Canonical encoding helpers shared by the node `Checkpointable` impls.
+// Decoding helpers shared by the node `Checkpointable` impls.
 // ---------------------------------------------------------------------------
-
-/// Build an object value from (key, value) pairs, preserving order.
-pub fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Obj(
-        fields
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
 
 /// Fetch a required field from an object value.
 pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
@@ -444,14 +626,6 @@ pub fn field<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
 /// View a value as an array, or fail.
 pub fn arr(v: &Value) -> Result<&Vec<Value>, String> {
     v.as_array().ok_or_else(|| "expected an array".to_string())
-}
-
-/// Canonical edge encoding: `[lo, hi]`.
-pub fn edge_value(e: Edge) -> Value {
-    Value::Arr(vec![
-        Value::U64(e.lo().0 as u64),
-        Value::U64(e.hi().0 as u64),
-    ])
 }
 
 /// Decode an edge from its canonical `[lo, hi]` encoding.
@@ -466,12 +640,6 @@ pub fn edge_from(v: &Value) -> Result<Edge, String> {
         return Err(format!("edge: degenerate self-loop {a}-{b}"));
     }
     Ok(Edge::new(NodeId(a), NodeId(b)))
-}
-
-/// Canonical node-id list encoding (callers pass them already sorted when
-/// the source is a set).
-pub fn ids_value(ids: &[NodeId]) -> Value {
-    Value::Arr(ids.iter().map(|v| Value::U64(v.0 as u64)).collect())
 }
 
 /// Decode a node-id list.
@@ -502,8 +670,58 @@ mod tests {
         }
     }
 
+    fn obj(fields: Vec<(&str, Value)>) -> Value {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     fn body() -> Value {
         obj(vec![("round", Value::U64(7))])
+    }
+
+    #[test]
+    fn body_writer_matches_the_tree_writer() {
+        let mut w = BodyWriter::new();
+        w.obj(|w| {
+            w.key("a").u64(0).key("b").arr(|_| {});
+            w.key("c").obj(|_| {});
+            w.key("nested").arr(|w| {
+                w.arr(|w| {
+                    w.u64(u64::MAX).bool(true).null();
+                });
+                w.edge(edge(9, 2)).ids(&[NodeId(3), NodeId(1)]).ids(&[]);
+                w.str("q\"uote\n").bool(false);
+            });
+            w.key("tree")
+                .value(&obj(vec![("x", Value::F64(0.1)), ("y", Value::I64(-3))]));
+        });
+        let tree = obj(vec![
+            ("a", Value::U64(0)),
+            ("b", Value::Arr(vec![])),
+            ("c", Value::Obj(vec![])),
+            (
+                "nested",
+                Value::Arr(vec![
+                    Value::Arr(vec![Value::U64(u64::MAX), Value::Bool(true), Value::Null]),
+                    Value::Arr(vec![Value::U64(2), Value::U64(9)]),
+                    Value::Arr(vec![Value::U64(3), Value::U64(1)]),
+                    Value::Arr(vec![]),
+                    Value::Str("q\"uote\n".into()),
+                    Value::Bool(false),
+                ]),
+            ),
+            (
+                "tree",
+                obj(vec![("x", Value::F64(0.1)), ("y", Value::I64(-3))]),
+            ),
+        ]);
+        let (text, checksum) = w.finish();
+        assert_eq!(text, serde_json::to_string(&tree).unwrap());
+        assert_eq!(checksum, fnv1a64(text.as_bytes()), "running checksum");
     }
 
     #[test]
@@ -521,10 +739,22 @@ mod tests {
     /// body text: one `{header, body}` value serialized in a single pass.
     /// The reference the spliced document must match byte for byte.
     fn tree_json(snap: &Snapshot) -> String {
-        let doc = obj(vec![
-            ("header", snap.header_value()),
-            ("body", snap.body().clone()),
+        let h = &snap.header;
+        let header = obj(vec![
+            ("format", Value::Str(SNAPSHOT_FORMAT.into())),
+            ("version", Value::U64(h.version as u64)),
+            ("protocol", Value::Str(h.protocol.clone())),
+            ("n", Value::U64(h.n as u64)),
+            ("round", Value::U64(h.round)),
+            ("engine", Value::Str(h.engine.clone())),
+            ("shards", Value::Str(h.shards.clone())),
+            ("scheduling", Value::Str(h.scheduling.clone())),
+            ("parallel", Value::Bool(h.parallel)),
+            ("record_stats", Value::Bool(h.record_stats)),
+            ("bandwidth", h.bandwidth.to_value()),
+            ("checksum", Value::U64(h.checksum)),
         ]);
+        let doc = obj(vec![("header", header), ("body", snap.body().clone())]);
         format!("{}\n", serde_json::to_string(&doc).unwrap())
     }
 
@@ -542,7 +772,7 @@ mod tests {
             let label = path.display();
             assert_eq!(snap.to_json(), doc, "{label}: from_json ∘ to_json");
             assert_eq!(tree_json(&snap), doc, "{label}: tree writer");
-            // The capture path (`new`) serializes the body itself.
+            // `new` writes a tree body through the same writer as capture.
             let fresh = Snapshot::new(snap.header.clone(), snap.body().clone());
             assert_eq!(fresh.to_json(), doc, "{label}: captured body");
             seen += 1;
@@ -605,7 +835,10 @@ mod tests {
     #[test]
     fn edge_codec_roundtrips_and_validates() {
         let e = edge(9, 2);
-        assert_eq!(edge_from(&edge_value(e)).unwrap(), e);
+        let mut w = BodyWriter::new();
+        w.edge(e);
+        let v: Value = serde_json::from_str(&w.finish().0).unwrap();
+        assert_eq!(edge_from(&v).unwrap(), e);
         assert!(edge_from(&Value::Arr(vec![Value::U64(3), Value::U64(3)])).is_err());
         assert!(edge_from(&Value::U64(3)).is_err());
     }

@@ -411,8 +411,8 @@ mod tests {
         }
     }
     impl Checkpointable for Idle {
-        fn save_state(&self) -> serde::Value {
-            serde::Value::Null
+        fn save_state(&self, w: &mut crate::checkpoint::BodyWriter) {
+            w.null();
         }
         fn load_state(_id: NodeId, _n: usize, _v: &serde::Value) -> Result<Self, String> {
             Ok(Idle)

@@ -41,7 +41,8 @@ pub mod trace;
 
 pub use bandwidth::{BandwidthConfig, BandwidthMeter, BandwidthPolicy};
 pub use checkpoint::{
-    Checkpointable, RestoreError, Snapshot, SnapshotHeader, SNAPSHOT_FORMAT, SNAPSHOT_VERSION,
+    BodyWriter, Checkpointable, RestoreError, Snapshot, SnapshotHeader, SNAPSHOT_FORMAT,
+    SNAPSHOT_VERSION,
 };
 pub use engine::{
     drive, drive_source, peak_rss_mb, run_source_as, run_trace_as, ProtocolRegistry, ProtocolSpec,

@@ -292,7 +292,14 @@ impl ServingSession {
             session: writer.clone(),
             round,
         });
-        *self.published.lock().expect("published view poisoned") = view;
+        // Swap under the view lock, free the old view outside it: dropping
+        // the last reference to a session is a deallocation readers'
+        // `view()` must not wait on.
+        let old = std::mem::replace(
+            &mut *self.published.lock().expect("published view poisoned"),
+            view,
+        );
+        drop(old);
         if let Some(plan) = faults {
             if plan.crash_due(CrashPoint::AfterPublish) {
                 plan.execute_crash();

@@ -17,7 +17,7 @@
 //! the two paths are bit-identical.
 
 use crate::bandwidth::BandwidthMeter;
-use crate::checkpoint::{Checkpointable, RestoreError, Snapshot, SnapshotHeader};
+use crate::checkpoint::{BodyWriter, Checkpointable, RestoreError, Snapshot, SnapshotHeader};
 use crate::engine::{summarize, RunSummary};
 use crate::event::EventBatch;
 use crate::ids::{NodeId, Round};
@@ -50,7 +50,7 @@ trait ErasedSim: Send + Sync {
     fn query(&self, at: NodeId, query: &Query) -> Result<Response<Answer>, QueryError>;
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary;
     fn config(&self) -> SimConfig;
-    fn save_body(&self) -> serde::Value;
+    fn save_body(&self, w: &mut BodyWriter);
     fn clone_box(&self) -> Box<dyn ErasedSim>;
 }
 
@@ -106,8 +106,8 @@ impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N>
     fn config(&self) -> SimConfig {
         Simulator::config(self)
     }
-    fn save_body(&self) -> serde::Value {
-        Simulator::save_state(self)
+    fn save_body(&self, w: &mut BodyWriter) {
+        Simulator::save_state(self, w)
     }
     fn clone_box(&self) -> Box<dyn ErasedSim> {
         Box::new(self.clone())
@@ -160,7 +160,9 @@ impl Session {
     pub fn checkpoint(&self) -> Snapshot {
         let cfg = self.sim.config();
         let header = SnapshotHeader::describe(self.protocol, self.n(), self.round(), &cfg);
-        Snapshot::new(header, self.sim.save_body())
+        let mut body = BodyWriter::new();
+        self.sim.save_body(&mut body);
+        Snapshot::capture(header, body)
     }
 
     /// Rebuild a session for protocol `N` from a snapshot. The snapshot's
@@ -479,10 +481,12 @@ mod tests {
     }
 
     impl Checkpointable for EdgeSet {
-        fn save_state(&self) -> serde::Value {
+        fn save_state(&self, w: &mut BodyWriter) {
             // `peers` is in arrival order (observable via retain), so it is
             // captured verbatim, not sorted.
-            crate::checkpoint::obj(vec![("peers", crate::checkpoint::ids_value(&self.peers))])
+            w.obj(|w| {
+                w.key("peers").ids(&self.peers);
+            });
         }
         fn load_state(id: NodeId, _n: usize, v: &serde::Value) -> Result<Self, String> {
             Ok(EdgeSet {

@@ -55,7 +55,7 @@
 //! which task computes them.
 
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
-use crate::checkpoint::{self, Checkpointable};
+use crate::checkpoint::{self, BodyWriter, Checkpointable};
 use crate::event::EventBatch;
 use crate::ids::{Edge, NodeId, Round};
 use crate::message::{Addressed, BitSized, Flags, Received};
@@ -375,63 +375,52 @@ impl<N: Node> Simulator<N> {
 }
 
 impl<N: Node + Checkpointable> Simulator<N> {
-    /// Capture the full engine state as a snapshot body. Taken *between*
-    /// rounds, after a `step` returns: round counter, timestamped edge
-    /// set, every node's protocol state, both amortized meters, bandwidth
-    /// counters, the per-round stats log, and the persistent round-buffer
-    /// structures (active set, outbox flag column; the sorted adjacency is
-    /// a pure function of the topology and is rebuilt on restore). All
-    /// maps are emitted sorted, so equal states produce equal bytes.
-    pub fn save_state(&self) -> Value {
-        let flags: Vec<Value> = self
-            .buffers
-            .out_flags
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| **f != Flags::default())
-            .map(|(i, f)| {
-                Value::Arr(vec![
-                    Value::U64(i as u64),
-                    Value::Bool(f.is_empty),
-                    Value::Bool(f.neighbors_empty),
-                ])
-            })
-            .collect();
-        checkpoint::obj(vec![
-            ("round", Value::U64(self.round)),
-            ("topology", self.topo.save_state()),
-            (
-                "nodes",
-                Value::Arr(self.nodes.iter().map(|nd| nd.save_state()).collect()),
-            ),
-            ("meter", self.meter.to_value()),
-            ("per_node", self.per_node.to_value()),
-            ("bandwidth", self.bandwidth.save_state()),
-            ("stats", self.stats.to_value()),
-            ("inconsistent_now", Value::U64(self.inconsistent_now as u64)),
-            ("last_active", Value::U64(self.last_active as u64)),
-            ("last_shards", Value::U64(self.last_shards as u64)),
-            (
-                "shard_peak_active",
-                Value::Arr(
-                    self.shard_peak_active
-                        .iter()
-                        .map(|&x| Value::U64(x as u64))
-                        .collect(),
-                ),
-            ),
-            (
-                "active",
-                Value::Arr(
-                    self.buffers
-                        .active
-                        .iter()
-                        .map(|&v| Value::U64(v as u64))
-                        .collect(),
-                ),
-            ),
-            ("out_flags", Value::Arr(flags)),
-        ])
+    /// Write the full engine state into `w` as a snapshot body. Taken
+    /// *between* rounds, after a `step` returns: round counter, timestamped
+    /// edge set, every node's protocol state, both amortized meters,
+    /// bandwidth counters, the per-round stats log, and the persistent
+    /// round-buffer structures (active set, outbox flag column; the sorted
+    /// adjacency is a pure function of the topology and is rebuilt on
+    /// restore). All maps are emitted sorted, so equal states produce
+    /// equal bytes.
+    pub fn save_state(&self, w: &mut BodyWriter) {
+        w.obj(|w| {
+            w.key("round").u64(self.round);
+            w.key("topology");
+            self.topo.save_state(w);
+            w.key("nodes").arr(|w| {
+                for nd in &self.nodes {
+                    nd.save_state(w);
+                }
+            });
+            w.key("meter").value(&self.meter.to_value());
+            w.key("per_node").value(&self.per_node.to_value());
+            w.key("bandwidth");
+            self.bandwidth.save_state(w);
+            w.key("stats").value(&self.stats.to_value());
+            w.key("inconsistent_now").u64(self.inconsistent_now as u64);
+            w.key("last_active").u64(self.last_active as u64);
+            w.key("last_shards").u64(self.last_shards as u64);
+            w.key("shard_peak_active").arr(|w| {
+                for &x in &self.shard_peak_active {
+                    w.u64(x as u64);
+                }
+            });
+            w.key("active").arr(|w| {
+                for &v in &self.buffers.active {
+                    w.u64(v as u64);
+                }
+            });
+            w.key("out_flags").arr(|w| {
+                for (i, f) in self.buffers.out_flags.iter().enumerate() {
+                    if *f != Flags::default() {
+                        w.arr(|w| {
+                            w.u64(i as u64).bool(f.is_empty).bool(f.neighbors_empty);
+                        });
+                    }
+                }
+            });
+        });
     }
 
     /// Rebuild a simulator from a [`Simulator::save_state`] capture.

@@ -134,27 +134,19 @@ impl Topology {
     /// Capture for a snapshot: the timestamped edge set sorted by edge
     /// (canonical bytes), plus the cumulative change counter. The adjacency
     /// is derived state and is rebuilt by [`Topology::load_state`].
-    pub(crate) fn save_state(&self) -> serde::Value {
+    pub(crate) fn save_state(&self, w: &mut crate::checkpoint::BodyWriter) {
         let mut edges: Vec<(Edge, Round)> = self.edges.iter().map(|(&e, &r)| (e, r)).collect();
         edges.sort_unstable_by_key(|&(e, _)| (e.lo(), e.hi()));
-        crate::checkpoint::obj(vec![
-            ("changes", serde::Value::U64(self.changes)),
-            (
-                "edges",
-                serde::Value::Arr(
-                    edges
-                        .iter()
-                        .map(|&(e, r)| {
-                            serde::Value::Arr(vec![
-                                serde::Value::U64(e.lo().0 as u64),
-                                serde::Value::U64(e.hi().0 as u64),
-                                serde::Value::U64(r),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        w.obj(|w| {
+            w.key("changes").u64(self.changes);
+            w.key("edges").arr(|w| {
+                for &(e, r) in &edges {
+                    w.arr(|w| {
+                        w.u64(e.lo().0 as u64).u64(e.hi().0 as u64).u64(r);
+                    });
+                }
+            });
+        });
     }
 
     /// Rebuild a topology (including the derived adjacency) from a

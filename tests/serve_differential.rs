@@ -5,8 +5,8 @@
 //! run summary's deterministic fields, and the checkpoint snapshot
 //! document itself.
 //!
-//! This is the serving layer's correctness contract: publication via
-//! checkpoint→restore plus the settled-round watermark must be
+//! This is the serving layer's correctness contract: publication by
+//! cloning the writer's session plus the settled-round watermark must be
 //! observationally invisible. A second suite drives concurrent readers
 //! *during* ingest and pins every reply to the local answer at that
 //! reply's watermark — the freedom the daemon has is *which* settled
