@@ -1,7 +1,7 @@
 //! Regenerate every experiment table of the reproduction.
 //!
 //! ```text
-//! experiments [e1|e2|e3|e4|e5|e6|e7|e8|e9|f2|a1|a2|a3|s1|s2|s3|s4|s5|s6|all]
+//! experiments [e1|e2|e3|e4|e5|e6|e7|e8|e9|f2|a1|a2|a3|s1|s2|s5|s6|all]
 //!             [--csv] [--rounds N] [--max-n N] [--jobs N] [--repeat R]
 //!             [--json FILE] [--check-schema BASELINE.json]
 //! ```
@@ -23,16 +23,7 @@
 //! `--max-n`): runs driven from lazy trace sources that the materialized
 //! path could not hold in memory. `s2` is the large-n/low-churn tier: the
 //! same streamed schedule under the sparse and the dense round engine,
-//! recording the activity-proportionality speedup. `s3` is the sharded
-//! million-node tier (n = 1 000 000 by default, capped by `--max-n`): the
-//! same streamed schedule single-shard sequential vs multi-shard on the
-//! worker pool, with every deterministic column asserted bit-identical in
-//! the runner and the multi-core speedup recorded. `s4` is the
-//! skewed-activity tier (hotspot/hub workloads, n = 100 000–1 000 000
-//! capped by `--max-n`, ≥ 60 % of the activity in one id decile): balanced
-//! weighted shard boundaries plus the work-stealing pool vs the chunked
-//! PR 6 configuration, bit-identity asserted in the runner, speedup
-//! recorded. `s5` is the serving tier: a live `dds serve` daemon on an
+//! recording the activity-proportionality speedup. `s5` is the serving tier: a live `dds serve` daemon on an
 //! ephemeral port answering concurrent client queries while a writer
 //! connection ingests churn, with sustained QPS and latency percentiles
 //! recorded and post-burst serve-vs-local checkpoint byte-identity
@@ -222,8 +213,8 @@ fn main() {
     if want("s1") {
         let s1_n = 100_000.min(max_n.max(2));
         // Inner stage stays sequential whenever the outer table fan-out is
-        // parallel — nested pools would oversubscribe the machine and
-        // pollute the recorded per-table seconds.
+        // parallel, so the recorded per-table seconds never depend on
+        // which other table happened to hold the worker threads.
         let s1_jobs = if jobs > 1 { 1 } else { jobs.max(1) };
         run(
             "s1",
@@ -235,20 +226,6 @@ fn main() {
         run(
             "s2",
             Box::new(move || runners::s2_low_churn_tier(s2_n, rounds)),
-        );
-    }
-    if want("s3") {
-        let s3_n = 1_000_000.min(max_n.max(2));
-        run(
-            "s3",
-            Box::new(move || runners::s3_sharded_tier(s3_n, rounds)),
-        );
-    }
-    if want("s4") {
-        let s4_n = 1_000_000.min(max_n.max(2));
-        run(
-            "s4",
-            Box::new(move || runners::s4_skewed_tier(s4_n, rounds)),
         );
     }
     if want("s5") {

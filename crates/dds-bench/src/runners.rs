@@ -917,280 +917,6 @@ pub fn s2_low_churn_tier(n: usize, rounds: usize) -> Table {
     t
 }
 
-/// S3 — the sharded **million-node** tier: the regime the sharded engine
-/// exists for (n ≥ 10⁶, a trickle of churn, streamed schedules). Each
-/// workload runs twice on identical streamed low-churn schedules — one
-/// shard inline vs K shards fanned over the worker pool — and every
-/// deterministic output (meters bit-for-bit via `f64::to_bits`, traffic
-/// totals, per-round peaks) is asserted identical *inside the runner*, so
-/// a row only ever prints with `identical = yes`. Wall clock is the one
-/// column allowed to differ: `speedup` is the multi-core payoff, and on a
-/// single-core host (empty pool) it hovers near 1.
-pub fn s3_sharded_tier(n: usize, rounds: usize) -> Table {
-    use dds_net::Shards;
-    let mut t = Table::new(
-        "S3 / sharded tier — million-node rounds on worker shards, bit-identical to sequential",
-        &[
-            "workload",
-            "mode",
-            "n",
-            "rounds",
-            "changes",
-            "peak active",
-            "rounds/s",
-            "speedup",
-            "identical",
-        ],
-    );
-    let shards = scheduler::available_jobs().max(2);
-    let cells: Vec<(&'static str, &'static str, Params)> = vec![
-        (
-            "rolling-er trickle",
-            "sliding",
-            Params::new()
-                .with("n", n)
-                .with("rounds", rounds)
-                .with("seed", 0x53)
-                .with("arrivals", (n / 2000).max(8))
-                .with("window", 10),
-        ),
-        (
-            "er drizzle",
-            "er",
-            Params::new()
-                .with("n", n)
-                .with("rounds", rounds)
-                .with("seed", 0x53)
-                .with("target-edges", (n / 10).max(8))
-                .with("changes-per-round", 8),
-        ),
-    ];
-    for (label, workload, params) in cells {
-        let run = |shards: Shards, parallel: bool| {
-            let cfg = SimConfig {
-                shards,
-                parallel,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            let mut src = source_for(workload, params.clone());
-            crate::driver::protocols()
-                .run_stream("two-hop", &mut src, cfg)
-                .expect("two-hop is registered")
-        };
-        // Untimed warm-up: the first run over a fresh million-node arena
-        // pays every page fault; without it the second run's warmed heap
-        // masquerades as a ~2x "speedup" even on one core.
-        let warm = run(Shards::Fixed(1), false);
-        let seq = run(Shards::Fixed(1), false);
-        let shd = run(Shards::Fixed(shards), true);
-        // Free extra determinism check: two identical runs, identical bits.
-        assert_eq!(
-            warm.amortized.to_bits(),
-            seq.amortized.to_bits(),
-            "{label}: repeat run diverged"
-        );
-        // The tier's contract, enforced at run time: sharded execution may
-        // only change wall clock, never a single output bit.
-        assert_eq!(seq.changes, shd.changes, "{label}: changes diverged");
-        assert_eq!(
-            seq.inconsistent_rounds, shd.inconsistent_rounds,
-            "{label}: inconsistent rounds diverged"
-        );
-        assert_eq!(
-            seq.amortized.to_bits(),
-            shd.amortized.to_bits(),
-            "{label}: amortized meter diverged"
-        );
-        assert_eq!(
-            seq.footnote_amortized.to_bits(),
-            shd.footnote_amortized.to_bits(),
-            "{label}: footnote meter diverged"
-        );
-        assert_eq!(seq.messages, shd.messages, "{label}: messages diverged");
-        assert_eq!(seq.bits, shd.bits, "{label}: bits diverged");
-        assert_eq!(
-            seq.final_edges, shd.final_edges,
-            "{label}: final edges diverged"
-        );
-        assert_eq!(
-            seq.peak_round_messages, shd.peak_round_messages,
-            "{label}: peak round messages diverged"
-        );
-        assert_eq!(
-            seq.peak_round_bits, shd.peak_round_bits,
-            "{label}: peak round bits diverged"
-        );
-        assert_eq!(
-            seq.peak_round_active, shd.peak_round_active,
-            "{label}: peak round active diverged"
-        );
-        for (mode, s) in [
-            ("1 shard, inline".to_string(), &seq),
-            (format!("{} shards, pooled", shd.shards), &shd),
-        ] {
-            t.row(vec![
-                label.to_string(),
-                mode,
-                s.n.to_string(),
-                s.rounds.to_string(),
-                s.changes.to_string(),
-                s.peak_round_active.to_string(),
-                f2(s.rounds_per_sec),
-                f2(s.rounds_per_sec / seq.rounds_per_sec.max(1e-9)),
-                "yes".to_string(),
-            ]);
-        }
-    }
-    t.note("identical streamed schedules; every deterministic column is asserted bit-identical");
-    t.note("in-runner (meters compared via f64::to_bits) before a row is emitted");
-    t.note("speedup is wall-clock (machine-dependent); the CI gate asks >= 1.5x on >= 2 CPUs");
-    t
-}
-
-/// S4 — the **skewed-activity** tier: hotspot (≥ 60 % of churn endpoints
-/// in one id decile) and hub (a handful of ids on almost every change)
-/// workloads, the load profiles where uniform shard boundaries put nearly
-/// all work on one shard. Each cell runs three times on identical
-/// streamed schedules — sequential, `Scheduling::Chunked` (the fixed
-/// quantile boundaries + single shared queue of PR 6) and
-/// `Scheduling::Balanced` (activity-weighted boundaries + work-stealing
-/// pool) — with every deterministic output asserted bit-identical inside
-/// the runner. `speedup vs chunked` on the balanced row is the payoff of
-/// weighting + stealing under skew; the CI gate asks ≥ 1.5× on the
-/// hotspot cell when ≥ 2 CPUs are available.
-pub fn s4_skewed_tier(n: usize, rounds: usize) -> Table {
-    use dds_net::{Scheduling, Shards};
-    let mut t = Table::new(
-        "S4 / skewed tier — hotspot & hub churn, balanced boundaries + stealing vs chunked",
-        &[
-            "workload",
-            "mode",
-            "n",
-            "rounds",
-            "changes",
-            "peak active",
-            "rounds/s",
-            "speedup vs chunked",
-            "identical",
-        ],
-    );
-    let shards = scheduler::available_jobs().max(2);
-    let hotspot_n = 100_000.min(n).max(2);
-    let cells: Vec<(&'static str, Params)> = vec![
-        (
-            "hotspot decile",
-            Params::new()
-                .with("n", hotspot_n)
-                .with("rounds", rounds)
-                .with("seed", 0x54)
-                .with("hot-ids", (hotspot_n / 10).max(1))
-                .with("hot", 0.7)
-                .with("target-edges", 2 * hotspot_n)
-                .with("changes-per-round", (hotspot_n / 500).max(8)),
-        ),
-        (
-            "hub handful",
-            Params::new()
-                .with("n", n.max(2))
-                .with("rounds", rounds)
-                .with("seed", 0x54)
-                .with("hot-ids", 8)
-                .with("hot", 0.8)
-                .with("target-edges", (n / 4).max(64))
-                .with("changes-per-round", (n / 1000).max(8)),
-        ),
-    ];
-    for (label, params) in cells {
-        let run = |shards: Shards, parallel: bool, scheduling: Scheduling| {
-            let cfg = SimConfig {
-                shards,
-                parallel,
-                scheduling,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            let mut src = source_for("hotspot", params.clone());
-            crate::driver::protocols()
-                .run_stream("two-hop", &mut src, cfg)
-                .expect("two-hop is registered")
-        };
-        // Untimed warm-up, as in S3: first touch of a fresh arena pays the
-        // page faults and would otherwise inflate whichever mode runs last.
-        let warm = run(Shards::Fixed(1), false, Scheduling::Balanced);
-        let seq = run(Shards::Fixed(1), false, Scheduling::Balanced);
-        let chunked = run(Shards::Fixed(shards), true, Scheduling::Chunked);
-        let balanced = run(Shards::Fixed(shards), true, Scheduling::Balanced);
-        assert_eq!(
-            warm.amortized.to_bits(),
-            seq.amortized.to_bits(),
-            "{label}: repeat run diverged"
-        );
-        // The tier's contract: scheduling mode and shard count may only
-        // move wall clock, never an output bit.
-        for (mode, s) in [("chunked", &chunked), ("balanced", &balanced)] {
-            assert_eq!(seq.changes, s.changes, "{label}/{mode}: changes diverged");
-            assert_eq!(
-                seq.inconsistent_rounds, s.inconsistent_rounds,
-                "{label}/{mode}: inconsistent rounds diverged"
-            );
-            assert_eq!(
-                seq.amortized.to_bits(),
-                s.amortized.to_bits(),
-                "{label}/{mode}: amortized meter diverged"
-            );
-            assert_eq!(
-                seq.footnote_amortized.to_bits(),
-                s.footnote_amortized.to_bits(),
-                "{label}/{mode}: footnote meter diverged"
-            );
-            assert_eq!(
-                seq.messages, s.messages,
-                "{label}/{mode}: messages diverged"
-            );
-            assert_eq!(seq.bits, s.bits, "{label}/{mode}: bits diverged");
-            assert_eq!(
-                seq.final_edges, s.final_edges,
-                "{label}/{mode}: final edges diverged"
-            );
-            assert_eq!(
-                seq.peak_round_messages, s.peak_round_messages,
-                "{label}/{mode}: peak round messages diverged"
-            );
-            assert_eq!(
-                seq.peak_round_bits, s.peak_round_bits,
-                "{label}/{mode}: peak round bits diverged"
-            );
-            assert_eq!(
-                seq.peak_round_active, s.peak_round_active,
-                "{label}/{mode}: peak round active diverged"
-            );
-        }
-        for (mode, s) in [
-            ("1 shard, inline".to_string(), &seq),
-            (format!("{shards} shards, chunked"), &chunked),
-            (format!("{shards} shards, balanced"), &balanced),
-        ] {
-            t.row(vec![
-                label.to_string(),
-                mode,
-                s.n.to_string(),
-                s.rounds.to_string(),
-                s.changes.to_string(),
-                s.peak_round_active.to_string(),
-                f2(s.rounds_per_sec),
-                f2(s.rounds_per_sec / chunked.rounds_per_sec.max(1e-9)),
-                "yes".to_string(),
-            ]);
-        }
-    }
-    t.note("identical streamed hotspot schedules; deterministic columns asserted bit-identical");
-    t.note("in-runner across sequential / chunked / balanced before any row is emitted");
-    t.note("speedup vs chunked is wall-clock; the CI gate asks the balanced hotspot row");
-    t.note(">= 1.5x on >= 2 CPUs (single-core hosts run everything inline, speedup ~ 1)");
-    t
-}
-
 /// S5: the serving tier — a live `dds serve` daemon (real TCP, in-process,
 /// ephemeral port) answering concurrent client queries *while* a dedicated
 /// writer connection ingests churn round by round. Reports sustained QPS
@@ -1597,43 +1323,6 @@ mod tests {
                 sparse_peak < 2000 / 2,
                 "sparse engine visited too many nodes: {pair:?}"
             );
-        }
-    }
-
-    #[test]
-    fn s3_sharded_matches_sequential_at_reduced_scale() {
-        // The bit-identity contract is asserted inside the runner; this
-        // test exercises it at a CI-sized n and checks the table shape.
-        let t = s3_sharded_tier(2000, 60);
-        assert_eq!(t.rows.len(), 4);
-        for pair in t.rows.chunks(2) {
-            let (seq, shd) = (&pair[0], &pair[1]);
-            assert_eq!(seq[1], "1 shard, inline");
-            assert!(shd[1].ends_with("shards, pooled"), "mode: {shd:?}");
-            assert_eq!(seq[4], shd[4], "changes diverged: {pair:?}");
-            assert_eq!(seq[5], shd[5], "peak active diverged: {pair:?}");
-            assert_eq!(seq[8], "yes");
-            assert_eq!(shd[8], "yes");
-        }
-    }
-
-    #[test]
-    fn s4_skewed_modes_agree_at_reduced_scale() {
-        // Bit-identity across scheduling modes is asserted inside the
-        // runner; this exercises it at a CI-sized n and checks the shape.
-        let t = s4_skewed_tier(2000, 60);
-        assert_eq!(t.rows.len(), 6);
-        for triple in t.rows.chunks(3) {
-            let (seq, chunked, balanced) = (&triple[0], &triple[1], &triple[2]);
-            assert_eq!(seq[1], "1 shard, inline");
-            assert!(chunked[1].ends_with("shards, chunked"), "{chunked:?}");
-            assert!(balanced[1].ends_with("shards, balanced"), "{balanced:?}");
-            assert_eq!(chunked[7], "1.00", "chunked is its own baseline");
-            for row in triple {
-                assert_eq!(row[4], seq[4], "changes diverged: {row:?}");
-                assert_eq!(row[5], seq[5], "peak active diverged: {row:?}");
-                assert_eq!(row[8], "yes");
-            }
         }
     }
 

@@ -17,30 +17,35 @@
 
 use dds_net::{RunSummary, SimConfig};
 use dds_workloads::{registry, Params};
-use rayon::pool::Pool;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock};
 
-/// Worker count to use when the caller does not care: the persistent
-/// pool's worker threads plus the submitting thread. The pool reads
-/// `available_parallelism` exactly once at first use and caches it, so
-/// repeated calls here (one per sweep, several per `experiments` run)
-/// never re-query the OS.
+/// Worker count to use when the caller does not care: the host's
+/// `available_parallelism`, read once and cached, so repeated calls here
+/// (one per sweep, several per `experiments` run) never re-query the OS.
 pub fn available_jobs() -> usize {
-    Pool::global().workers() + 1
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Run `f` over every item on up to `jobs` threads of the workspace's
-/// persistent worker [`Pool`] and return the results **in input order**,
-/// regardless of completion order — every job's result is written back
-/// into its input slot, so aggregation over the output is bit-identical
-/// for `jobs = 1` and `jobs = N`, for any `N`. `f` must be pure per item
-/// for the output to be independent of `jobs` (that property is what the
-/// streaming differential tests assert).
+/// Set while a [`map_ordered`] fan-out is running anywhere in the process.
+/// Taken with an `Acquire` swap that pairs with the previous fan-out's
+/// `Release` store.
+static FANNING_OUT: AtomicBool = AtomicBool::new(false);
+
+/// Run `f` over every item on up to `jobs` scoped threads (the calling
+/// thread is one of them) and return the results **in input order**,
+/// regardless of completion order — threads claim items through one
+/// atomic cursor and every result is written back into its input slot,
+/// so aggregation over the output is bit-identical for `jobs = 1` and
+/// `jobs = N`, for any `N`. `f` must be pure per item for the output to
+/// be independent of `jobs` (that property is what the streaming
+/// differential tests assert).
 ///
-/// The pool runs one fan-out at a time: a `map_ordered` issued from inside
-/// another `map_ordered` job (or while the sharded round engine is mid
-/// fan-out) executes inline on the calling thread — same results, no
-/// nested oversubscription, no deadlock.
+/// One fan-out runs at a time: a `map_ordered` issued while another is
+/// running (for example from inside one of its jobs) executes inline on
+/// the calling thread — same results, and a process never holds more
+/// than `jobs` threads.
 pub fn map_ordered<T, R, F>(jobs: usize, items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
@@ -48,17 +53,31 @@ where
     F: Fn(usize, T) -> R + Sync,
 {
     let n = items.len();
-    let pool = Pool::global();
-    if jobs <= 1 || n <= 1 || pool.workers() == 0 {
+    if jobs <= 1 || n <= 1 || FANNING_OUT.swap(true, Ordering::Acquire) {
         return items
             .into_iter()
             .enumerate()
             .map(|(i, t)| f(i, t))
             .collect();
     }
+    // Clears the flag when this fan-out ends, including by a job's panic.
+    struct Release;
+    impl Drop for Release {
+        fn drop(&mut self) {
+            FANNING_OUT.store(false, Ordering::Release);
+        }
+    }
+    let _release = Release;
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    pool.run(n, 1, jobs, &|i| {
+    // The claim cursor publishes no data (each slot has its own lock), so
+    // `Relaxed` suffices.
+    let cursor = AtomicUsize::new(0);
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
+        }
         let item = slots[i]
             .lock()
             .expect("slot lock")
@@ -66,6 +85,12 @@ where
             .expect("each job claimed once");
         let r = f(i, item);
         *results[i].lock().expect("result lock") = Some(r);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..jobs.min(n) {
+            s.spawn(work);
+        }
+        work();
     });
     results
         .into_iter()
@@ -158,6 +183,17 @@ mod tests {
         let par = map_ordered(8, items, |i, x| (i, x * x));
         assert_eq!(seq, par);
         assert_eq!(seq[17], (17, 17 * 17));
+    }
+
+    #[test]
+    fn nested_map_ordered_runs_inline_with_the_same_results() {
+        let outer = |jobs: usize| {
+            map_ordered(jobs, (0..6u64).collect(), |_, x| {
+                map_ordered(jobs, (0..5u64).collect(), |j, y| (j, x * 10 + y))
+            })
+        };
+        assert_eq!(outer(1), outer(3));
+        assert_eq!(outer(3)[4][2], (2, 42));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `dds` — the dynamic-subgraphs command-line runner.
 //!
 //! ```text
-//! dds simulate --protocol triangle --workload er --n 128 --rounds 500 [--parallel] [--json]
+//! dds simulate --protocol triangle --workload er --n 128 --rounds 500 [--json]
 //! dds query --protocol triangle --workload er --n 32 --rounds 100 \
 //!           --settle 64 --query "list-triangles@0; edge:0-1"
 //! dds trace generate --workload p2p --n 64 --rounds 300 --out trace.json
@@ -34,9 +34,8 @@ pub const VERSION: &str = env!("CARGO_PKG_VERSION");
 pub const USAGE: &str = "\
 usage:
   dds simulate --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
-               [--stream] [--seeds K] [--jobs J] [--parallel] [--record-stats]
-               [--engine sparse|dense] [--shards auto|K]
-               [--scheduling balanced|chunked] [--sample-queries K]
+               [--stream] [--seeds K] [--jobs J] [--record-stats]
+               [--engine sparse|dense] [--sample-queries K]
                [--checkpoint-every K] [--checkpoint-dir D] [--resume FILE]
                [--json]
                (--stream drives the run from a lazy trace source: one batch in
@@ -44,27 +43,18 @@ usage:
                 workers, streamed, with seed-ordered aggregate statistics;
                 --engine picks the round engine — sparse [default] does
                 O(churn + traffic) work per round, dense visits all n nodes
-                (escape hatch; bit-identical results); --shards partitions each
-                round into K node-id-range tasks (auto [default] scales with
-                activity and the worker pool; results are bit-identical for
-                every K) and --parallel fans them out over the worker pool;
-                --scheduling balanced [default] splits shard boundaries by
-                per-node activity weight and runs them on the work-stealing
-                pool; chunked keeps fixed quantile boundaries + a single
-                shared queue (bit-identical either way, for A/B timing);
-                --record-stats also reports per-round active-node counts and
-                per-shard peaks; --sample-queries K probes an edge query
-                mid-run every K rounds and reports the answered/inconsistent
-                split; --checkpoint-every K writes a self-describing snapshot
-                checkpoint_RRRRRR.json into --checkpoint-dir D [default:
-                checkpoints] every K rounds; --resume FILE restores a
-                snapshot and continues the SAME workload bit-identically —
-                pass the same workload flags as the original run; on resume
-                the snapshot header's engine/shards/scheduling configuration
-                wins over the CLI flags)
+                (escape hatch; bit-identical results); --record-stats also
+                reports per-round active-node counts; --sample-queries K
+                probes an edge query mid-run every K rounds and reports the
+                answered/inconsistent split; --checkpoint-every K writes a
+                self-describing snapshot checkpoint_RRRRRR.json into
+                --checkpoint-dir D [default: checkpoints] every K rounds;
+                --resume FILE restores a snapshot and continues the SAME
+                workload bit-identically — pass the same workload flags as
+                the original run; on resume the snapshot header's engine
+                configuration wins over the CLI flags)
   dds query    --protocol <name> --workload <name> [--n N] [--rounds R] [--seed S]
-               [--at ROUND] [--settle MAX] [--shards auto|K]
-               [--scheduling balanced|chunked] [--resume FILE]
+               [--at ROUND] [--settle MAX] [--resume FILE]
                --query \"SPEC[; SPEC...]\" [--json]
                (runs the workload to --at (default: all rounds), optionally
                 settles, then answers each query spec with zero communication.
@@ -194,40 +184,14 @@ fn cmd_list() -> Result<(), String> {
             println!("      --{:<18} {} (default {})", p.key, p.help, p.default);
         }
     }
-    let pool = rayon::pool::Pool::global();
-    let workers = pool.workers();
-    println!("engine:");
-    println!(
-        "  worker pool:   {workers} daemon worker(s) + the driving thread \
-                 (--parallel fans shards out over them)"
-    );
-    println!(
-        "  scheduling:    balanced [default] — activity-weighted shard \
-                 boundaries on the work-stealing pool; chunked — fixed quantile \
-                 boundaries + a shared queue (bit-identical, for A/B timing)"
-    );
-    println!(
-        "  shards:        auto scales 1..={} with round activity; \
-                 --shards K pins the count (bit-identical for every K)",
-        (workers + 1).max(1)
-    );
-    println!(
-        "  pool counters: {} job(s) submitted, {} range(s) stolen so far \
-                 in this process",
-        pool.jobs(),
-        pool.steals()
-    );
     Ok(())
 }
 
 fn cmd_simulate(args: &Args) -> Result<(), String> {
     let protocol = args.get_or("protocol", "triangle").to_string();
     let cfg = dds_net::SimConfig {
-        parallel: args.flag("parallel"),
         record_stats: args.flag("record-stats"),
         engine: run::engine_from(args)?,
-        shards: run::shards_from(args)?,
-        scheduling: run::scheduling_from(args)?,
         ..dds_net::SimConfig::default()
     };
     let seeds: usize = args.num_or("seeds", 1)?;
@@ -252,7 +216,7 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
         // Checkpointed streaming driver: step batch-by-batch so snapshots
         // land exactly on round boundaries. A resumed session is rebuilt
         // from the snapshot header's configuration verbatim (the CLI
-        // engine/shards/scheduling flags are ignored on resume — the
+        // engine flag is ignored on resume — the
         // header is the source of truth for bit-exactness), and the
         // workload source is fast-forwarded past the rounds the original
         // run already consumed.
@@ -370,10 +334,8 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             summary.budget_bits, summary.violations
         );
         println!(
-            "wall clock:           {:.3}s  ({:.0} rounds/sec{})",
-            summary.seconds,
-            summary.rounds_per_sec,
-            if cfg.parallel { ", parallel" } else { "" }
+            "wall clock:           {:.3}s  ({:.0} rounds/sec)",
+            summary.seconds, summary.rounds_per_sec
         );
         if cfg.record_stats {
             println!(
@@ -391,16 +353,6 @@ fn cmd_simulate(args: &Args) -> Result<(), String> {
             println!(
                 "active nodes/round:   mean {:.1} / peak {} of {} ({:?} engine)",
                 mean_active, max_active, summary.n, cfg.engine
-            );
-            let peaks: Vec<String> = summary
-                .per_shard_peak_active
-                .iter()
-                .map(usize::to_string)
-                .collect();
-            println!(
-                "shards:               {} (per-shard peak active: [{}])",
-                summary.shards,
-                peaks.join(", ")
             );
             const SHOWN: usize = 24;
             let head: Vec<String> = active_series
@@ -501,10 +453,7 @@ fn cmd_query(args: &Args) -> Result<(), String> {
         .get("query")
         .ok_or("query needs --query \"SPEC[; SPEC...]\" (see `dds --help` for the grammar)")?;
     let cfg = dds_net::SimConfig {
-        parallel: args.flag("parallel"),
         engine: run::engine_from(args)?,
-        shards: run::shards_from(args)?,
-        scheduling: run::scheduling_from(args)?,
         ..dds_net::SimConfig::default()
     };
     let mut src = run::build_workload_source(args)?;

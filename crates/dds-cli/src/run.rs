@@ -100,20 +100,6 @@ pub fn engine_from(args: &Args) -> Result<dds_net::Engine, String> {
     args.get_or("engine", "sparse").parse()
 }
 
-/// Shard-count selection from `--shards auto|K` (default: auto). Sharding
-/// is structural — `--shards K` partitions every round into K id-range
-/// tasks even single-threaded, with bit-identical results for every K.
-pub fn shards_from(args: &Args) -> Result<dds_net::Shards, String> {
-    args.get_or("shards", "auto").parse()
-}
-
-/// Shard-boundary/pool-scheduling selection from `--scheduling
-/// balanced|chunked` (default: balanced). Bit-identical either way —
-/// `chunked` keeps the pre-work-stealing configuration for A/B timing.
-pub fn scheduling_from(args: &Args) -> Result<dds_net::Scheduling, String> {
-    args.get_or("scheduling", "balanced").parse()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,34 +150,6 @@ mod tests {
             dds_net::Engine::Sparse
         );
         assert!(engine_from(&args("x --engine frob")).is_err());
-    }
-
-    #[test]
-    fn shards_option_parses_and_defaults_to_auto() {
-        assert_eq!(shards_from(&args("x")).unwrap(), dds_net::Shards::Auto);
-        assert_eq!(
-            shards_from(&args("x --shards auto")).unwrap(),
-            dds_net::Shards::Auto
-        );
-        assert_eq!(
-            shards_from(&args("x --shards 4")).unwrap(),
-            dds_net::Shards::Fixed(4)
-        );
-        assert!(shards_from(&args("x --shards 0")).is_err());
-        assert!(shards_from(&args("x --shards lots")).is_err());
-    }
-
-    #[test]
-    fn scheduling_option_parses_and_defaults_to_balanced() {
-        assert_eq!(
-            scheduling_from(&args("x")).unwrap(),
-            dds_net::Scheduling::Balanced
-        );
-        assert_eq!(
-            scheduling_from(&args("x --scheduling chunked")).unwrap(),
-            dds_net::Scheduling::Chunked
-        );
-        assert!(scheduling_from(&args("x --scheduling fifo")).is_err());
     }
 
     #[test]

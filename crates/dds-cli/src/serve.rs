@@ -155,10 +155,7 @@ pub fn cmd_serve(args: &Args) -> Result<(), String> {
         } else {
             let n: usize = args.num_or("n", 64)?;
             let cfg = SimConfig {
-                parallel: args.flag("parallel"),
                 engine: crate::run::engine_from(args)?,
-                shards: crate::run::shards_from(args)?,
-                scheduling: crate::run::scheduling_from(args)?,
                 ..SimConfig::default()
             };
             server.open_session(ServingSession::open(registry, name, protocol, n, cfg)?)?;

@@ -6,10 +6,13 @@
 //!
 //! - `header` — format name + version, the protocol name, `n`, the round
 //!   the state was captured at, the full engine configuration
-//!   (engine/shards/scheduling/parallel/record_stats/bandwidth, as the
-//!   same tokens the CLI accepts), and an FNV-1a checksum of the
-//!   canonically serialized body. The header is everything needed to
-//!   decide *how* to restore before touching the body.
+//!   (engine/record_stats/bandwidth, as the same tokens the CLI accepts),
+//!   and an FNV-1a checksum of the canonically serialized body. The
+//!   header is everything needed to decide *how* to restore before
+//!   touching the body. It also keeps the `shards`/`scheduling`/`parallel`
+//!   fields of the retired sharded engine: written as `"auto"`,
+//!   `"balanced"`, `false`, and on read validated as that engine parsed
+//!   them, then ignored — every setting produced bit-identical runs.
 //! - `body` — the full engine state: topology (timestamped edge set),
 //!   per-node protocol state (via [`Checkpointable`]), both amortized
 //!   meters, bandwidth counters, the per-round stats log, and the
@@ -296,13 +299,6 @@ pub struct SnapshotHeader {
     pub round: u64,
     /// Engine token (`"sparse"`/`"dense"`), round-trips through `FromStr`.
     pub engine: String,
-    /// Shard policy token (`"auto"` or a count).
-    pub shards: String,
-    /// Scheduling token (`"balanced"`/`"chunked"`).
-    pub scheduling: String,
-    /// Whether shard tasks fan out over the worker pool. Kept for
-    /// faithfulness; flipping it cannot change results.
-    pub parallel: bool,
     /// Whether a per-round stats log was kept.
     pub record_stats: bool,
     /// Bandwidth budget configuration.
@@ -321,9 +317,6 @@ impl SnapshotHeader {
             n,
             round,
             engine: cfg.engine.token().to_string(),
-            shards: cfg.shards.token(),
-            scheduling: cfg.scheduling.token().to_string(),
-            parallel: cfg.parallel,
             record_stats: cfg.record_stats,
             bandwidth: cfg.bandwidth,
             checksum: 0,
@@ -337,11 +330,8 @@ impl SnapshotHeader {
         let corrupt = |e: String| RestoreError::Corrupt(format!("header: {e}"));
         Ok(crate::sim::SimConfig {
             bandwidth: self.bandwidth,
-            parallel: self.parallel,
             record_stats: self.record_stats,
             engine: self.engine.parse().map_err(corrupt)?,
-            shards: self.shards.parse().map_err(corrupt)?,
-            scheduling: self.scheduling.parse().map_err(corrupt)?,
         })
     }
 }
@@ -408,9 +398,9 @@ impl Snapshot {
             w.key("n").u64(h.n as u64);
             w.key("round").u64(h.round);
             w.key("engine").str(&h.engine);
-            w.key("shards").str(&h.shards);
-            w.key("scheduling").str(&h.scheduling);
-            w.key("parallel").bool(h.parallel);
+            w.key("shards").str("auto");
+            w.key("scheduling").str("balanced");
+            w.key("parallel").bool(false);
             w.key("record_stats").bool(h.record_stats);
             w.key("bandwidth").value(&h.bandwidth.to_value());
             w.key("checksum").u64(h.checksum);
@@ -433,8 +423,9 @@ impl Snapshot {
     }
 
     /// Parse and validate an on-disk snapshot document: JSON shape, format
-    /// name, version (refusing the future), header fields, and the body
-    /// checksum — in that order, so the most informative error wins.
+    /// name, version (refusing the future), header fields, the body
+    /// checksum, and the sharded-engine header tokens — in that order, so
+    /// the most informative error wins.
     pub fn from_json(s: &str) -> Result<Snapshot, RestoreError> {
         let doc: Value = serde_json::from_str(s).map_err(|e| RestoreError::Parse(e.to_string()))?;
         let header = doc
@@ -471,15 +462,20 @@ impl Snapshot {
                 supported: SNAPSHOT_VERSION,
             });
         }
+        // Fields are read in on-disk order, so the first bad one is named.
+        let protocol = hstr("protocol")?;
+        let n = hu64("n")? as usize;
+        let round = hu64("round")?;
+        let engine = hstr("engine")?;
+        let shards = hstr("shards")?;
+        let scheduling = hstr("scheduling")?;
+        hbool("parallel")?;
         let header = SnapshotHeader {
             version,
-            protocol: hstr("protocol")?,
-            n: hu64("n")? as usize,
-            round: hu64("round")?,
-            engine: hstr("engine")?,
-            shards: hstr("shards")?,
-            scheduling: hstr("scheduling")?,
-            parallel: hbool("parallel")?,
+            protocol,
+            n,
+            round,
+            engine,
             record_stats: hbool("record_stats")?,
             bandwidth: crate::bandwidth::BandwidthConfig::from_value(hfield("bandwidth")?)
                 .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?,
@@ -499,6 +495,8 @@ impl Snapshot {
                 actual,
             });
         }
+        check_sharding_tokens(&shards, &scheduling)
+            .map_err(|e| RestoreError::Corrupt(format!("header: {e}")))?;
         Ok(Snapshot {
             header,
             body_json,
@@ -519,6 +517,23 @@ impl Snapshot {
             .map_err(|e| RestoreError::Io(format!("{}: {e}", path.display())))?;
         Snapshot::from_json(&raw)
     }
+}
+
+/// Check the `shards` and `scheduling` header tokens the way the retired
+/// sharded engine parsed them: `"auto"` or a count >= 1, and `"balanced"`
+/// or `"chunked"`.
+fn check_sharding_tokens(shards: &str, scheduling: &str) -> Result<(), String> {
+    if shards != "auto" && !shards.parse::<usize>().is_ok_and(|k| k >= 1) {
+        return Err(format!(
+            "unknown shard count {shards:?}; expected \"auto\" or an integer >= 1"
+        ));
+    }
+    if !matches!(scheduling, "balanced" | "chunked") {
+        return Err(format!(
+            "unknown scheduling {scheduling:?}; expected \"balanced\" or \"chunked\""
+        ));
+    }
+    Ok(())
 }
 
 /// Atomically replace `path` with `bytes`: write a sibling `.tmp` file,
@@ -661,9 +676,6 @@ mod tests {
             n: 4,
             round: 7,
             engine: "sparse".into(),
-            shards: "auto".into(),
-            scheduling: "balanced".into(),
-            parallel: false,
             record_stats: true,
             bandwidth: BandwidthConfig::default(),
             checksum: 0,
@@ -747,9 +759,9 @@ mod tests {
             ("n", Value::U64(h.n as u64)),
             ("round", Value::U64(h.round)),
             ("engine", Value::Str(h.engine.clone())),
-            ("shards", Value::Str(h.shards.clone())),
-            ("scheduling", Value::Str(h.scheduling.clone())),
-            ("parallel", Value::Bool(h.parallel)),
+            ("shards", Value::Str("auto".into())),
+            ("scheduling", Value::Str("balanced".into())),
+            ("parallel", Value::Bool(false)),
             ("record_stats", Value::Bool(h.record_stats)),
             ("bandwidth", h.bandwidth.to_value()),
             ("checksum", Value::U64(h.checksum)),
@@ -817,6 +829,48 @@ mod tests {
                 found: 999,
                 supported: SNAPSHOT_VERSION
             })
+        ));
+    }
+
+    #[test]
+    fn sharding_header_tokens_are_validated_then_ignored() {
+        let json = Snapshot::new(header(), body()).to_json();
+        let default = r#""shards":"auto","scheduling":"balanced","parallel":false"#;
+        assert!(json.contains(default), "{json}");
+        let with = |tokens: &str| Snapshot::from_json(&json.replace(default, tokens));
+        for ok in [
+            r#""shards":"3","scheduling":"chunked","parallel":true"#,
+            r#""shards":"1","scheduling":"balanced","parallel":false"#,
+        ] {
+            let snap = with(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
+            assert_eq!(snap.header, Snapshot::from_json(&json).unwrap().header);
+            assert!(snap.to_json().contains(default), "rewritten with defaults");
+        }
+        for bad in [
+            r#""shards":"0","scheduling":"balanced","parallel":false"#,
+            r#""shards":"many","scheduling":"balanced","parallel":false"#,
+            r#""shards":"auto","scheduling":"stolen","parallel":false"#,
+            r#""shards":3,"scheduling":"balanced","parallel":false"#,
+            r#""shards":"auto","scheduling":"balanced","parallel":"no""#,
+            r#""scheduling":"balanced","parallel":false"#,
+        ] {
+            assert!(
+                matches!(with(bad), Err(RestoreError::Corrupt(ref e)) if e.starts_with("header")),
+                "{bad}: {:?}",
+                with(bad)
+            );
+        }
+        // A bad token does not mask a damaged body: the checksum is
+        // checked first.
+        let damaged = json
+            .replace(
+                default,
+                r#""shards":"0","scheduling":"balanced","parallel":false"#,
+            )
+            .replace("\"round\":7}", "\"round\":8}");
+        assert!(matches!(
+            Snapshot::from_json(&damaged),
+            Err(RestoreError::ChecksumMismatch { .. })
         ));
     }
 

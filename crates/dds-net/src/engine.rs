@@ -81,22 +81,6 @@ pub struct RunSummary {
     /// perf-smoke `dds simulate --stream` invocation) are the authoritative
     /// measurement.
     pub peak_rss_mb: f64,
-    /// Shard count of the final round (1 for unsharded runs; under
-    /// [`Shards::Auto`](crate::Shards::Auto) the per-round count follows
-    /// the active-set size).
-    pub shards: usize,
-    /// Per-shard peak receiver-set sizes over the whole run, indexed by
-    /// shard — how evenly the id-range partition spread the activity.
-    pub per_shard_peak_active: Vec<usize>,
-    /// Daemon worker threads in the process-wide pool (0 means every
-    /// sharded region ran inline). A pool property, not a run property —
-    /// reported here so JSON consumers see the execution substrate.
-    pub pool_workers: usize,
-    /// Successful work steals recorded by the process-wide pool at
-    /// summary time, across *all* jobs this process has run (the pool
-    /// counter is global; deltas between summaries attribute steals to a
-    /// run only in single-run processes).
-    pub pool_steals: u64,
 }
 
 /// Replay a recorded trace through a fresh simulator and return it for
@@ -197,10 +181,6 @@ pub fn summarize<N: Node>(
             .max()
             .unwrap_or(0),
         peak_rss_mb: (peak_rss_mb() - rss_baseline_mb).max(0.0),
-        shards: sim.shards(),
-        per_shard_peak_active: sim.shard_peak_active().to_vec(),
-        pool_workers: rayon::pool::Pool::global().workers(),
-        pool_steals: rayon::pool::Pool::global().steals(),
     }
 }
 

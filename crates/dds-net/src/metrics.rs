@@ -6,7 +6,7 @@
 //! occurred by round `i`, is at most `k`. We therefore track the running
 //! *prefix maximum* of that ratio, not just the final value.
 
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 
 /// Running amortized-complexity meter.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -213,7 +213,7 @@ impl PerNodeMeter {
 
 /// Per-round statistics emitted by the simulator; useful for plotting
 /// time series and for debugging protocols.
-#[derive(Clone, Copy, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct RoundStats {
     /// Round number.
     pub round: u64,
@@ -234,16 +234,96 @@ pub struct RoundStats {
     /// differential tests exclude from comparison — it measures the
     /// engine, not the execution.
     pub active_nodes: usize,
-    /// Shards the round's per-node phases ran as. Like `active_nodes`,
-    /// this measures the engine, not the execution — every shard count
-    /// produces bit-identical results — so the differential tests exclude
-    /// it from comparison too.
-    pub shards: usize,
+}
+
+/// Snapshot format v1 gives every stats entry a trailing `"shards"`
+/// field; the engine runs one shard, so it is written as `1`.
+impl Serialize for RoundStats {
+    fn to_value(&self) -> Value {
+        let fields = [
+            ("round", Value::U64(self.round)),
+            ("changes", Value::U64(self.changes)),
+            ("edges", self.edges.to_value()),
+            ("inconsistent_nodes", self.inconsistent_nodes.to_value()),
+            ("messages", Value::U64(self.messages)),
+            ("bits", Value::U64(self.bits)),
+            ("active_nodes", self.active_nodes.to_value()),
+            ("shards", Value::U64(1)),
+        ];
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+}
+
+/// Reads every v1 entry, including those of sharded builds: `shards` must
+/// be present and an integer, and is then ignored.
+impl Deserialize for RoundStats {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        if !matches!(v, Value::Obj(_)) {
+            return Err(format!("RoundStats: expected object, got {v:?}"));
+        }
+        fn field<T: Deserialize>(v: &Value, k: &str) -> Result<T, String> {
+            let x = v
+                .get(k)
+                .ok_or_else(|| format!("RoundStats: missing field `{k}`"))?;
+            T::from_value(x).map_err(|e| format!("RoundStats.{k}: {e}"))
+        }
+        let stats = RoundStats {
+            round: field(v, "round")?,
+            changes: field(v, "changes")?,
+            edges: field(v, "edges")?,
+            inconsistent_nodes: field(v, "inconsistent_nodes")?,
+            messages: field(v, "messages")?,
+            bits: field(v, "bits")?,
+            active_nodes: field(v, "active_nodes")?,
+        };
+        field::<usize>(v, "shards")?;
+        Ok(stats)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_stats_keep_the_v1_entry_shape() {
+        let s = RoundStats {
+            round: 3,
+            changes: 2,
+            edges: 9,
+            inconsistent_nodes: 1,
+            messages: 4,
+            bits: 80,
+            active_nodes: 5,
+        };
+        let text = serde_json::to_string(&s.to_value()).unwrap();
+        assert_eq!(
+            text,
+            r#"{"round":3,"changes":2,"edges":9,"inconsistent_nodes":1,"messages":4,"bits":80,"active_nodes":5,"shards":1}"#
+        );
+        // Entries a sharded build wrote load to the same stats.
+        let sharded: Value =
+            serde_json::from_str(&text.replace("\"shards\":1", "\"shards\":3")).unwrap();
+        assert_eq!(
+            format!("{:?}", RoundStats::from_value(&sharded).unwrap()),
+            format!("{s:?}")
+        );
+        // ...but `shards` stays required and typed.
+        let missing: Value = serde_json::from_str(&text.replace(",\"shards\":1", "")).unwrap();
+        assert!(RoundStats::from_value(&missing)
+            .unwrap_err()
+            .contains("missing field `shards`"));
+        let bad: Value =
+            serde_json::from_str(&text.replace("\"shards\":1", "\"shards\":\"x\"")).unwrap();
+        assert!(RoundStats::from_value(&bad)
+            .unwrap_err()
+            .starts_with("RoundStats.shards"));
+    }
 
     #[test]
     fn prefix_max_captures_early_spike() {

@@ -5,8 +5,7 @@
 //! incident-event CSR, the staged payload/flag traffic, the sparse inbox
 //! CSR and the **active set** that makes round cost proportional to
 //! activity instead of `n + m`. On a quiet round (empty event batch, empty
-//! active set) `Simulator::step` performs no heap allocation at all on the
-//! sequential path.
+//! active set) `Simulator::step` performs no heap allocation at all.
 //!
 //! # Invariants
 //!
@@ -29,13 +28,11 @@
 //!    nodes run phases 1–2. (The dense engine forces `active = 0..n`.)
 //! 4. `out_flags[v]` holds node `v`'s flags for round `i` **for active
 //!    `v`** — a flat struct-of-arrays slot, the only per-node send output
-//!    kept around (payloads are expanded into shard-local `staged` runs at
-//!    send time and never stored per node). Skipped nodes' flag slots are
-//!    stale and never read: inbox assembly only dereferences senders that
-//!    appear in `staged` or `flag_stage`, which active nodes alone can
-//!    enter. Each shard task writes only the slots of the node-id range it
-//!    owns, which is what makes the split-borrow fan-out sound.
-//! 5. `staged` is sorted by `(receiver, sender)` after routing; each
+//!    kept around (payloads are expanded into `staged` at send time and
+//!    never stored per node). Skipped nodes' flag slots are stale and never
+//!    read: inbox assembly only dereferences senders that appear in
+//!    `staged` or `flag_stage`, which active nodes alone can enter.
+//! 5. `staged` is sorted by `(receiver, sender)` at inbox assembly; each
 //!    `(receiver, sender)` pair appears at most once (two payloads on one
 //!    ordered link in one round is a protocol bug and panics).
 //!    `flag_stage` lists `(receiver, sender)` for every delivered
@@ -53,40 +50,8 @@ use crate::event::{EventBatch, LocalEvent};
 use crate::ids::{Edge, NodeId};
 use crate::message::{Flags, Received};
 
-/// Per-shard staging scratch, reused round to round. Each shard task
-/// writes only here (plus its own node/flag sub-slices); the engine's
-/// sequential middle merges the shards' sorted runs back together.
-#[derive(Clone, Debug)]
-pub(crate) struct ShardScratch<M> {
-    /// Routed payloads `(receiver, sender, message)`, sorted by
-    /// `(receiver, sender)` at the end of the shard task.
-    pub(crate) staged: Vec<(NodeId, NodeId, M)>,
-    /// Delivered non-quiet flag broadcasts `(receiver, sender)`, sorted.
-    pub(crate) flag_stage: Vec<(NodeId, NodeId)>,
-    /// Bandwidth charge log `(sender, receiver, bits)` in charge order —
-    /// per sender: flag charges (neighbor ascending), then payload charges
-    /// (payload order). Replayed sequentially shard-by-shard, which is
-    /// exactly global ascending sender order.
-    pub(crate) charges: Vec<(NodeId, NodeId, u64)>,
-    /// Next round's active survivors from this shard, ascending.
-    pub(crate) next_active: Vec<u32>,
-    /// Inconsistent nodes found by this shard's phase 4 scan, ascending.
-    pub(crate) inconsistent: Vec<u32>,
-}
-
-impl<M> Default for ShardScratch<M> {
-    fn default() -> Self {
-        ShardScratch {
-            staged: Vec::new(),
-            flag_stage: Vec::new(),
-            charges: Vec::new(),
-            next_active: Vec::new(),
-            inconsistent: Vec::new(),
-        }
-    }
-}
-
-/// Read-only view of the incident-event CSR, cheap to hand to shard tasks.
+/// Read-only view of the incident-event CSR, borrowed alongside the
+/// send-phase outputs.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LocalView<'a> {
     local: &'a [LocalEvent],
@@ -106,26 +71,27 @@ impl LocalView<'_> {
     }
 }
 
-/// Split borrow for the sharded send region (phases 1–2 + routing
-/// expansion): shared read-only round state plus disjoint mutable access
-/// to the flag array and the per-shard scratch.
-pub(crate) struct ShardParts<'a, M> {
-    /// Sorted adjacency (shared across shards, read-only).
+/// Split borrow for the send phase (phases 1–2 + routing expansion):
+/// shared read-only round state plus the outputs the phase writes.
+pub(crate) struct SendParts<'a, M> {
+    /// Sorted adjacency (read-only).
     pub(crate) nbrs: &'a [Vec<NodeId>],
-    /// Incident-event CSR view (shared, read-only).
+    /// Incident-event CSR view (read-only).
     pub(crate) local: LocalView<'a>,
-    /// The full active set, ascending (shards take id-range sub-slices).
+    /// The active set, ascending.
     pub(crate) active: &'a [u32],
-    /// The flag SoA array, to be split at shard boundaries.
+    /// The flag SoA array.
     pub(crate) out_flags: &'a mut [Flags],
-    /// One scratch per shard.
-    pub(crate) scratch: &'a mut [ShardScratch<M>],
+    /// Routed payloads, appended in send order.
+    pub(crate) staged: &'a mut Vec<(NodeId, NodeId, M)>,
+    /// Delivered flag broadcasts, appended in send order.
+    pub(crate) flag_stage: &'a mut Vec<(NodeId, NodeId)>,
 }
 
-/// Split borrow for the sharded receive region (phases 3–4 + next-active
-/// collection): the assembled inbox CSR plus per-shard scratch.
+/// Split borrow for the receive phase (phases 3–4 + next-active
+/// collection): the assembled inbox CSR plus the phase's outputs.
 pub(crate) struct RecvParts<'a, M> {
-    /// Sorted adjacency (shared, read-only).
+    /// Sorted adjacency (read-only).
     pub(crate) nbrs: &'a [Vec<NodeId>],
     /// The phase-3 receiver list, ascending.
     pub(crate) recv_nodes: &'a [u32],
@@ -133,8 +99,10 @@ pub(crate) struct RecvParts<'a, M> {
     pub(crate) inbox: &'a [Received<M>],
     /// Inbox offsets, parallel to `recv_nodes` (length `recv + 1`).
     pub(crate) inbox_off: &'a [usize],
-    /// One scratch per shard.
-    pub(crate) scratch: &'a mut [ShardScratch<M>],
+    /// Inconsistent receivers, ascending (invariant 7).
+    pub(crate) inconsistent: &'a mut Vec<u32>,
+    /// Next round's active survivors, ascending.
+    pub(crate) next_active: &'a mut Vec<u32>,
 }
 
 /// Flat, reusable per-round scratch space; one per [`crate::Simulator`].
@@ -159,27 +127,25 @@ pub(crate) struct RoundBuffers<M> {
     /// This round's flags, one slot per node, struct-of-arrays (invariant
     /// 4): the one per-node send output inbox assembly reads back, kept in
     /// a flat cache-linear array. Payloads never get a per-node slot —
-    /// they are expanded into the shard's `staged` scratch at send time.
+    /// they are expanded into `staged` at send time.
     pub(crate) out_flags: Vec<Flags>,
-    /// Routed payloads as `(receiver, sender, message)` (invariant 5) —
-    /// the cross-shard merge destination.
-    pub(crate) staged: Vec<(NodeId, NodeId, M)>,
+    /// Routed payloads as `(receiver, sender, message)` (invariant 5).
+    staged: Vec<(NodeId, NodeId, M)>,
     /// Delivered non-quiet flag broadcasts as `(receiver, sender)`.
-    pub(crate) flag_stage: Vec<(NodeId, NodeId)>,
+    flag_stage: Vec<(NodeId, NodeId)>,
     /// Assembled sparse inboxes, CSR data (invariant 6).
     inbox: Vec<Received<M>>,
     /// Inbox offsets, parallel to `recv_nodes` (length `recv + 1`).
-    /// Crate-visible so the simulator can weight Region B's balanced
-    /// shard cuts by per-receiver inbox size.
-    pub(crate) inbox_off: Vec<usize>,
+    inbox_off: Vec<usize>,
     /// Nodes processed in phase 3 this round, ascending (invariant 6).
     pub(crate) recv_nodes: Vec<u32>,
     /// Nodes inconsistent at the end of the round, ascending (invariant 7).
     pub(crate) inconsistent_idx: Vec<u32>,
     /// The active set (invariant 3), ascending.
     pub(crate) active: Vec<u32>,
-    /// Per-shard staging scratch (grown on demand, never shrunk).
-    pub(crate) shard_scratch: Vec<ShardScratch<M>>,
+    /// Next round's active set, collected by the receive phase and
+    /// swapped into `active` by the sparse engine.
+    pub(crate) next_active: Vec<u32>,
     /// Scratch for sorted-set merges.
     merge_tmp: Vec<u32>,
     /// Per-node write cursors for the local-event counting sort.
@@ -204,22 +170,18 @@ impl<M> RoundBuffers<M> {
             recv_nodes: Vec::new(),
             inconsistent_idx: Vec::new(),
             active: Vec::new(),
-            shard_scratch: Vec::new(),
+            next_active: Vec::new(),
             merge_tmp: Vec::new(),
             cursor: vec![0; n],
         }
     }
 
-    /// Make sure at least `k` shard scratches exist.
-    pub(crate) fn ensure_shards(&mut self, k: usize) {
-        while self.shard_scratch.len() < k {
-            self.shard_scratch.push(ShardScratch::default());
-        }
-    }
-
-    /// Split borrow for the sharded send region (first `k` scratches).
-    pub(crate) fn shard_parts(&mut self, k: usize) -> ShardParts<'_, M> {
-        ShardParts {
+    /// Split borrow for the send phase. Clears the staging buffers the
+    /// phase appends to.
+    pub(crate) fn send_parts(&mut self) -> SendParts<'_, M> {
+        self.staged.clear();
+        self.flag_stage.clear();
+        SendParts {
             nbrs: &self.nbrs,
             local: LocalView {
                 local: &self.local,
@@ -228,48 +190,24 @@ impl<M> RoundBuffers<M> {
             },
             active: &self.active,
             out_flags: &mut self.out_flags,
-            scratch: &mut self.shard_scratch[..k],
+            staged: &mut self.staged,
+            flag_stage: &mut self.flag_stage,
         }
     }
 
-    /// Split borrow for the sharded receive region (first `k` scratches).
-    pub(crate) fn recv_parts(&mut self, k: usize) -> RecvParts<'_, M> {
+    /// Split borrow for the receive phase. Clears the output lists the
+    /// phase appends to.
+    pub(crate) fn recv_parts(&mut self) -> RecvParts<'_, M> {
+        self.inconsistent_idx.clear();
+        self.next_active.clear();
         RecvParts {
             nbrs: &self.nbrs,
             recv_nodes: &self.recv_nodes,
             inbox: &self.inbox,
             inbox_off: &self.inbox_off,
-            scratch: &mut self.shard_scratch[..k],
+            inconsistent: &mut self.inconsistent_idx,
+            next_active: &mut self.next_active,
         }
-    }
-
-    /// Merge the `k` shards' sorted staging runs into the global `staged`
-    /// and `flag_stage` buffers, draining the scratches. Each run is
-    /// sorted by `(receiver, sender)` and the key sets are disjoint across
-    /// shards (a `(receiver, sender)` link has exactly one sender, and
-    /// each sender lives in exactly one shard), so the merged order is
-    /// unique — independent of shard count and thread schedule. This is
-    /// the cross-shard determinism argument.
-    pub(crate) fn merge_shard_traffic(&mut self, k: usize) {
-        self.flag_stage.clear();
-        if k == 1 {
-            // Single shard: the run *is* the global order; swap, no copy.
-            std::mem::swap(&mut self.staged, &mut self.shard_scratch[0].staged);
-            self.shard_scratch[0].staged.clear();
-            std::mem::swap(&mut self.flag_stage, &mut self.shard_scratch[0].flag_stage);
-            return;
-        }
-        let runs = &mut self.shard_scratch[..k];
-        merge_sorted_runs(
-            &mut self.staged,
-            runs.iter_mut().map(|s| &mut s.staged).collect(),
-            |&(to, from, _)| (to, from),
-        );
-        merge_sorted_runs(
-            &mut self.flag_stage,
-            runs.iter_mut().map(|s| &mut s.flag_stage).collect(),
-            |&pair| pair,
-        );
     }
 
     /// Apply one validated batch to the sorted adjacency (invariant 2) —
@@ -404,22 +342,13 @@ impl<M> RoundBuffers<M> {
     /// list from the staged payloads, the staged flag deliveries and the
     /// active set. Returns nothing; read via `recv_nodes`/`inbox_of_pos`.
     ///
-    /// Expects `staged` and `flag_stage` already globally sorted by
-    /// `(receiver, sender)` — the per-shard sorts plus
-    /// [`merge_shard_traffic`](Self::merge_shard_traffic) establish this —
-    /// so the assembly itself is pure linear merging, never a function of
+    /// Sorts `staged` and `flag_stage` by `(receiver, sender)` first; the
+    /// assembly itself is then pure linear merging, never a function of
     /// `n` or the edge count.
     pub(crate) fn assemble_inboxes(&mut self, round: u64) {
-        debug_assert!(
-            self.staged
-                .windows(2)
-                .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
-            "staged traffic not presorted"
-        );
-        debug_assert!(
-            self.flag_stage.windows(2).all(|w| w[0] <= w[1]),
-            "flag stage not presorted"
-        );
+        self.staged
+            .sort_unstable_by_key(|&(to, from, _)| (to, from));
+        self.flag_stage.sort_unstable();
         for w in self.staged.windows(2) {
             assert!(
                 (w[0].0, w[0].1) != (w[1].0, w[1].1),
@@ -484,40 +413,6 @@ impl<M> RoundBuffers<M> {
             "routed payload addressed outside the receiver set"
         );
         debug_assert_eq!(fi, self.flag_stage.len(), "flags routed to a non-receiver");
-    }
-}
-
-/// K-way merge of ascending runs into `out` (cleared first), draining
-/// every run. Ties are broken by the lowest run index, but the engine's
-/// runs have globally unique keys (one sender per `(receiver, sender)`
-/// link, one shard per sender), so the output order is a pure function of
-/// the multiset of items — identical for any shard count or thread
-/// schedule.
-pub(crate) fn merge_sorted_runs<T, K: Ord, F: Fn(&T) -> K>(
-    out: &mut Vec<T>,
-    runs: Vec<&mut Vec<T>>,
-    key: F,
-) {
-    out.clear();
-    out.reserve(runs.iter().map(|r| r.len()).sum());
-    let mut iters: Vec<_> = runs.into_iter().map(|r| r.drain(..).peekable()).collect();
-    let mut heads: Vec<Option<K>> = iters.iter_mut().map(|it| it.peek().map(&key)).collect();
-    loop {
-        let mut best: Option<usize> = None;
-        for (s, head) in heads.iter().enumerate() {
-            if let Some(k) = head {
-                let better = match best {
-                    None => true,
-                    Some(b) => k < heads[b].as_ref().expect("best head present"),
-                };
-                if better {
-                    best = Some(s);
-                }
-            }
-        }
-        let Some(b) = best else { break };
-        out.push(iters[b].next().expect("peeked head"));
-        heads[b] = iters[b].peek().map(&key);
     }
 }
 
@@ -646,94 +541,6 @@ mod tests {
                     "adjacency of v{v} diverged at round {round}"
                 );
             }
-        }
-    }
-
-    /// The cross-shard merge must reproduce exact global `(receiver,
-    /// sender)` order — i.e. preserve ascending sender order within every
-    /// receiver — no matter how adversarially sender ids interleave
-    /// across shard boundaries.
-    #[test]
-    fn cross_shard_merge_preserves_sender_order() {
-        // Shard boundaries at ids 4 and 8; receivers deliberately get
-        // senders from alternating shards so a naive concatenation would
-        // interleave wrongly. Payload = (to, from) echo for tracking.
-        let mk = |pairs: &[(u32, u32)]| -> Vec<(NodeId, NodeId, (u32, u32))> {
-            pairs
-                .iter()
-                .map(|&(to, from)| (NodeId(to), NodeId(from), (to, from)))
-                .collect()
-        };
-        // Each run sorted by (to, from), as a shard task leaves it.
-        let mut run0 = mk(&[(0, 1), (2, 3), (5, 0), (5, 2), (9, 1)]);
-        let mut run1 = mk(&[(0, 5), (2, 4), (5, 6), (9, 7)]);
-        let mut run2 = mk(&[(0, 9), (2, 8), (5, 11), (9, 8), (9, 10)]);
-        let mut expected: Vec<_> = run0
-            .iter()
-            .chain(&run1)
-            .chain(&run2)
-            .cloned()
-            .collect::<Vec<_>>();
-        expected.sort_unstable_by_key(|&(to, from, _)| (to, from));
-        let mut out = Vec::new();
-        merge_sorted_runs(
-            &mut out,
-            vec![&mut run0, &mut run1, &mut run2],
-            |&(to, from, _)| (to, from),
-        );
-        assert_eq!(out, expected);
-        assert!(run0.is_empty() && run1.is_empty() && run2.is_empty());
-        // Per-receiver sender order is ascending — the delivery contract.
-        for w in out.windows(2) {
-            if w[0].0 == w[1].0 {
-                assert!(w[0].1 < w[1].1, "sender order broken at {w:?}");
-            }
-        }
-    }
-
-    /// Same property under a randomized adversary: random id interleavings
-    /// split at random boundaries must merge back to the flat sort.
-    #[test]
-    fn cross_shard_merge_matches_flat_sort_under_random_interleavings() {
-        let mut state = 0x1234_5678_9abc_def0u64;
-        let mut rand = move |m: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state % m
-        };
-        for _ in 0..50 {
-            let k = 1 + rand(6) as usize;
-            let n = 64u64;
-            // Unique (to, from) keys: sample without replacement.
-            let mut keys: Vec<(u32, u32)> = Vec::new();
-            for _ in 0..40 {
-                let to = rand(n) as u32;
-                let from = rand(n) as u32;
-                if !keys.contains(&(to, from)) {
-                    keys.push((to, from));
-                }
-            }
-            // Shard by sender range: boundary ids ascending.
-            let mut bounds: Vec<u32> = (1..k).map(|_| rand(n) as u32).collect();
-            bounds.sort_unstable();
-            bounds.push(n as u32);
-            type Entry = (NodeId, NodeId, (u32, u32));
-            let mut runs: Vec<Vec<Entry>> = vec![Vec::new(); k];
-            for &(to, from) in &keys {
-                let s = bounds.iter().position(|&b| from < b).expect("in range");
-                runs[s].push((NodeId(to), NodeId(from), (to, from)));
-            }
-            for r in &mut runs {
-                r.sort_unstable_by_key(|&(to, from, _)| (to, from));
-            }
-            let mut expected: Vec<_> = runs.iter().flatten().cloned().collect();
-            expected.sort_unstable_by_key(|&(to, from, _)| (to, from));
-            let mut out = Vec::new();
-            merge_sorted_runs(&mut out, runs.iter_mut().collect(), |&(to, from, _)| {
-                (to, from)
-            });
-            assert_eq!(out, expected);
         }
     }
 

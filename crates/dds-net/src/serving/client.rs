@@ -233,8 +233,6 @@ impl Client {
             protocol: Some(protocol.to_string()),
             n: Some(n),
             engine: None,
-            shards: None,
-            scheduling: None,
             snapshot: None,
         })
     }
@@ -246,8 +244,6 @@ impl Client {
             protocol: None,
             n: None,
             engine: None,
-            shards: None,
-            scheduling: None,
             snapshot: Some(snap.to_json()),
         })
     }

@@ -425,8 +425,6 @@ fn handle_request(
             protocol,
             n,
             engine,
-            shards,
-            scheduling,
             snapshot,
         } => {
             if state.durability.is_some() && !path_safe(&session) {
@@ -455,8 +453,6 @@ fn handle_request(
                     let n = n.ok_or("open: a fresh session needs `n`")?;
                     let cfg = SimConfig {
                         engine: engine.as_deref().unwrap_or("sparse").parse()?,
-                        shards: shards.as_deref().unwrap_or("auto").parse()?,
-                        scheduling: scheduling.as_deref().unwrap_or("balanced").parse()?,
                         ..SimConfig::default()
                     };
                     ServingSession::open(registry, &session, &protocol, n, cfg)?

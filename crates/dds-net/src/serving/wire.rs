@@ -255,10 +255,6 @@ pub enum Request {
         n: Option<usize>,
         /// `sparse` / `dense` engine token.
         engine: Option<String>,
-        /// `auto` / count shard token.
-        shards: Option<String>,
-        /// `balanced` / `chunked` scheduling token.
-        scheduling: Option<String>,
         /// Full snapshot JSON document for a warm start.
         snapshot: Option<String>,
     },
@@ -358,8 +354,6 @@ impl Serialize for Request {
                 protocol,
                 n,
                 engine,
-                shards,
-                scheduling,
                 snapshot,
             } => {
                 fields.push(("session", s(session)));
@@ -371,12 +365,6 @@ impl Serialize for Request {
                 }
                 if let Some(e) = engine {
                     fields.push(("engine", s(e)));
-                }
-                if let Some(sh) = shards {
-                    fields.push(("shards", s(sh)));
-                }
-                if let Some(sc) = scheduling {
-                    fields.push(("scheduling", s(sc)));
                 }
                 if let Some(snap) = snapshot {
                     fields.push(("snapshot", s(snap)));
@@ -477,8 +465,6 @@ impl Deserialize for Request {
                     Some(n) => Some(usize::from_value(n).map_err(|e| format!("open `n`: {e}"))?),
                 },
                 engine: opt_str("engine")?,
-                shards: opt_str("shards")?,
-                scheduling: opt_str("scheduling")?,
                 snapshot: opt_str("snapshot")?,
             }),
             "ingest" => Ok(Request::Ingest {
@@ -725,8 +711,6 @@ mod tests {
                 protocol: Some("triangle".into()),
                 n: Some(64),
                 engine: Some("sparse".into()),
-                shards: None,
-                scheduling: None,
                 snapshot: None,
             },
             Request::Ingest {

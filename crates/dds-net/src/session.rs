@@ -44,8 +44,6 @@ trait ErasedSim: Send + Sync {
     fn topology(&self) -> &Topology;
     fn inconsistent_nodes(&self) -> usize;
     fn active_nodes(&self) -> usize;
-    fn shards(&self) -> usize;
-    fn shard_peak_active(&self) -> &[usize];
     fn node_consistent(&self, v: NodeId) -> bool;
     fn query(&self, at: NodeId, query: &Query) -> Result<Response<Answer>, QueryError>;
     fn summarize(&self, name: &str, seconds: f64, rss_baseline_mb: f64) -> RunSummary;
@@ -87,12 +85,6 @@ impl<N: Queryable + Checkpointable + Clone + 'static> ErasedSim for Simulator<N>
     }
     fn active_nodes(&self) -> usize {
         Simulator::active_nodes(self)
-    }
-    fn shards(&self) -> usize {
-        Simulator::shards(self)
-    }
-    fn shard_peak_active(&self) -> &[usize] {
-        Simulator::shard_peak_active(self)
     }
     fn node_consistent(&self, v: NodeId) -> bool {
         self.node(v).is_consistent()
@@ -252,17 +244,6 @@ impl Session {
     /// [`Engine::Dense`]: crate::sim::Engine::Dense
     pub fn active_nodes(&self) -> usize {
         self.sim.active_nodes()
-    }
-
-    /// Shard count of the most recent round (1 before the first step).
-    pub fn shards(&self) -> usize {
-        self.sim.shards()
-    }
-
-    /// Per-shard peak receiver-set sizes over the run so far, indexed by
-    /// shard.
-    pub fn shard_peak_active(&self) -> &[usize] {
-        self.sim.shard_peak_active()
     }
 
     /// True when every node reported consistent at the end of the last
@@ -569,6 +550,21 @@ mod tests {
         let done = s.summary();
         assert_eq!(done.rounds, 3);
         assert!(done.seconds >= mid.seconds);
+    }
+
+    #[test]
+    fn snapshot_bodies_keep_the_one_shard_fields() {
+        let mut s = Session::open::<EdgeSet>("edge-set", 4, SimConfig::default());
+        let fields = |s: &Session| {
+            let body = s.checkpoint().body_json().to_string();
+            let at = body.find(r#""last_shards""#).unwrap();
+            let end = at + body[at..].find(']').unwrap() + 1;
+            body[at..end].to_string()
+        };
+        assert_eq!(fields(&s), r#""last_shards":0,"shard_peak_active":[]"#);
+        s.run_trace(&sample_trace());
+        // EdgeSet never idles: all four nodes receive every round.
+        assert_eq!(fields(&s), r#""last_shards":1,"shard_peak_active":[4]"#);
     }
 
     #[test]

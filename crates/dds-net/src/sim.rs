@@ -24,48 +24,20 @@
 //!   shared code, so the two engines are bit-identical by construction;
 //!   the differential tests lock this down.
 //!
-//! Execution is deterministic: inboxes are sorted by sender, neighbor lists
-//! are sorted, active/receiver sets are in ascending node order, and
-//! protocols are required to be deterministic.
-//!
-//! # Sharded execution
-//!
-//! Each round, the active set is partitioned into `K` contiguous node-id
-//! ranges ([`Shards`]); every shard runs phases 1–2 plus routing expansion
-//! over its own nodes (writing only shard-local scratch and its own slice
-//! of the flag array), then — after a short sequential exchange that
-//! replays bandwidth charges in global sender order and merges the shards'
-//! sorted traffic runs — every shard runs phases 3–4 over its receivers.
-//! Because the exchange is a deterministic sorted merge on globally unique
-//! `(receiver, sender)` keys, `shards = K` is **bit-identical** to
-//! `shards = 1` and to the sequential engine by construction, for every
-//! `K`. With `SimConfig::parallel = true` the shard tasks fan out over the
-//! persistent worker pool; with `parallel = false` the same shard
-//! structure runs inline on one thread — same results either way.
-//!
-//! Under the default [`Scheduling::Balanced`] policy the cut points are
-//! **activity-proportional**: Region A splits the active set by a
-//! deterministic prefix-sum over `1 + degree` weights, and Region B
-//! independently splits the receiver list by `1 + inbox-size` weights —
-//! both pure functions of round data, so skewed (hub/hotspot) workloads
-//! get weight-balanced shards without any new synchronization.
-//! [`Scheduling::Chunked`] keeps the PR 6 behavior (equal-count cuts of
-//! the active set shared by both regions, single-cursor pool scheduling)
-//! as the measured baseline. The partition never affects results — only
-//! which task computes them.
+//! Execution is sequential and deterministic: inboxes are sorted by
+//! sender, neighbor lists are sorted, active/receiver sets are in
+//! ascending node order, and protocols are required to be deterministic.
 
 use crate::bandwidth::{BandwidthConfig, BandwidthMeter};
 use crate::checkpoint::{self, BodyWriter, Checkpointable};
 use crate::event::EventBatch;
 use crate::ids::{Edge, NodeId, Round};
-use crate::message::{Addressed, BitSized, Flags, Received};
+use crate::message::{Addressed, BitSized, Flags};
 use crate::metrics::{AmortizedMeter, PerNodeMeter, RoundStats};
 use crate::protocol::Node;
-use crate::round::{LocalView, RecvParts, RoundBuffers, ShardParts, ShardScratch};
+use crate::round::{RecvParts, RoundBuffers, SendParts};
 use crate::topology::Topology;
-use rayon::pool::Pool;
 use serde::{Deserialize as _, Serialize as _, Value};
-use std::sync::Mutex;
 
 /// Which nodes the per-node phases visit each round.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -107,113 +79,15 @@ impl Engine {
     }
 }
 
-/// How many contiguous node-id-range shards the per-node phases run as
-/// each round. Sharding is *structural*: `Fixed(K)` partitions the round
-/// into `K` tasks even on a single thread, and the result is bit-identical
-/// for every `K` (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Shards {
-    /// Scale the shard count with the round's active-set size and the
-    /// worker pool: 1 on single-core hosts, otherwise roughly one shard
-    /// per 1024 active nodes, capped at `pool workers + 1`. Re-evaluated
-    /// from the **current round's** active set on every `step`, so a run
-    /// that goes quiet drops back to the `k = 1` no-alloc path instead of
-    /// keeping the shard count of its busiest round. Never a function of
-    /// [`SimConfig::parallel`], so flipping `parallel` cannot change
-    /// per-round stats.
-    #[default]
-    Auto,
-    /// Exactly `K` shards per round (clamped to `1..=1024` and to the
-    /// active-set size — so this too collapses to one shard on a quiet
-    /// round).
-    Fixed(usize),
-}
-
-impl std::str::FromStr for Shards {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        if s == "auto" {
-            return Ok(Shards::Auto);
-        }
-        match s.parse::<usize>() {
-            Ok(k) if k >= 1 => Ok(Shards::Fixed(k)),
-            _ => Err(format!(
-                "unknown shard count {s:?}; expected \"auto\" or an integer >= 1"
-            )),
-        }
-    }
-}
-
-impl Shards {
-    /// The `FromStr` token for this policy (`"auto"` or the fixed count).
-    pub fn token(&self) -> String {
-        match self {
-            Shards::Auto => "auto".to_string(),
-            Shards::Fixed(k) => k.to_string(),
-        }
-    }
-}
-
-/// How shard boundaries are cut and how shard tasks are scheduled on the
-/// pool. Either policy is bit-identical to the other (and to `shards = 1`)
-/// — this knob only moves wall-clock, which is exactly why the `s4` bench
-/// tier can A/B it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Scheduling {
-    /// Activity-proportional boundaries (Region A weighted by `1 +
-    /// degree`, Region B independently weighted by `1 + inbox size`) and
-    /// work-stealing pool scheduling. The default.
-    #[default]
-    Balanced,
-    /// The PR 6 configuration, kept as a measurable baseline: equal-count
-    /// cuts of the active set, shared by both regions, scheduled through
-    /// the pool's single chunked cursor.
-    Chunked,
-}
-
-impl std::str::FromStr for Scheduling {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "balanced" => Ok(Scheduling::Balanced),
-            "chunked" => Ok(Scheduling::Chunked),
-            other => Err(format!(
-                "unknown scheduling {other:?}; expected \"balanced\" or \"chunked\""
-            )),
-        }
-    }
-}
-
-impl Scheduling {
-    /// The `FromStr` token for this policy.
-    pub fn token(&self) -> &'static str {
-        match self {
-            Scheduling::Balanced => "balanced",
-            Scheduling::Chunked => "chunked",
-        }
-    }
-}
-
 /// Simulator configuration.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SimConfig {
     /// Per-link bandwidth budget configuration.
     pub bandwidth: BandwidthConfig,
-    /// Fan the per-round shard tasks out over the persistent worker pool.
-    /// Results are bit-identical to the inline path; use for large active
-    /// sets on multi-core hosts.
-    pub parallel: bool,
     /// Keep a per-round [`RoundStats`] log (costs memory on long runs).
     pub record_stats: bool,
     /// Which round engine to run (default: [`Engine::Sparse`]).
     pub engine: Engine,
-    /// Shard-count policy (default: [`Shards::Auto`]).
-    pub shards: Shards,
-    /// Shard-boundary and pool-scheduling policy (default:
-    /// [`Scheduling::Balanced`]). Bit-identical either way.
-    pub scheduling: Scheduling,
 }
 
 /// The simulator: topology + nodes + meters + reusable round scratch.
@@ -229,8 +103,9 @@ pub struct Simulator<N: Node> {
     stats: Vec<RoundStats>,
     inconsistent_now: usize,
     last_active: usize,
-    last_shards: usize,
-    shard_peak_active: Vec<usize>,
+    /// Largest receive-phase node count of any round so far; snapshots
+    /// carry it as the one-entry `shard_peak_active` array.
+    peak_active: usize,
     buffers: RoundBuffers<N::Msg>,
 }
 
@@ -269,8 +144,7 @@ impl<N: Node> Simulator<N> {
             stats: Vec::new(),
             inconsistent_now: 0,
             last_active: 0,
-            last_shards: 0,
-            shard_peak_active: Vec::new(),
+            peak_active: 0,
             buffers,
         }
     }
@@ -329,18 +203,6 @@ impl<N: Node> Simulator<N> {
         self.last_active
     }
 
-    /// Shard count used in the most recent round (1 before the first
-    /// `step`).
-    pub fn shards(&self) -> usize {
-        self.last_shards.max(1)
-    }
-
-    /// Per-shard peak receiver-set sizes observed over the whole run,
-    /// indexed by shard (length = the largest shard count any round used).
-    pub fn shard_peak_active(&self) -> &[usize] {
-        &self.shard_peak_active
-    }
-
     /// The configuration this simulator runs under.
     pub fn config(&self) -> SimConfig {
         self.cfg
@@ -383,7 +245,12 @@ impl<N: Node + Checkpointable> Simulator<N> {
     /// adjacency is a pure function of the topology and is rebuilt on
     /// restore). All maps are emitted sorted, so equal states produce
     /// equal bytes.
+    ///
+    /// `last_shards` and `shard_peak_active` keep the shape format v1
+    /// gives a one-shard run: `0` and `[]` before the first round, then
+    /// `1` and `[peak active]`.
     pub fn save_state(&self, w: &mut BodyWriter) {
+        let stepped = self.round > 0;
         w.obj(|w| {
             w.key("round").u64(self.round);
             w.key("topology");
@@ -400,10 +267,10 @@ impl<N: Node + Checkpointable> Simulator<N> {
             w.key("stats").value(&self.stats.to_value());
             w.key("inconsistent_now").u64(self.inconsistent_now as u64);
             w.key("last_active").u64(self.last_active as u64);
-            w.key("last_shards").u64(self.last_shards as u64);
+            w.key("last_shards").u64(u64::from(stepped));
             w.key("shard_peak_active").arr(|w| {
-                for &x in &self.shard_peak_active {
-                    w.u64(x as u64);
+                if stepped {
+                    w.u64(self.peak_active as u64);
                 }
             });
             w.key("active").arr(|w| {
@@ -427,6 +294,10 @@ impl<N: Node + Checkpointable> Simulator<N> {
     /// Continuing the restored simulator is bit-identical to continuing
     /// the one that produced the capture (the differential suite in
     /// `tests/checkpoint_restore.rs` locks this).
+    ///
+    /// Bodies written by sharded builds still load: `last_shards` is
+    /// validated and ignored, and the largest entry of a multi-entry
+    /// `shard_peak_active` becomes the run's peak.
     pub fn restore_state(n: usize, cfg: SimConfig, v: &Value) -> Result<Self, String> {
         if n == 0 {
             return Err("snapshot has n = 0".into());
@@ -455,10 +326,10 @@ impl<N: Node + Checkpointable> Simulator<N> {
         let mut bandwidth = BandwidthMeter::new(n, cfg.bandwidth);
         bandwidth.load_counters(checkpoint::field(v, "bandwidth")?)?;
         let stats = Vec::<RoundStats>::from_value(checkpoint::field(v, "stats")?)?;
-        let shard_peak_active = Vec::<u64>::from_value(checkpoint::field(v, "shard_peak_active")?)?
+        let peak_active = Vec::<u64>::from_value(checkpoint::field(v, "shard_peak_active")?)?
             .into_iter()
-            .map(|x| x as usize)
-            .collect();
+            .max()
+            .unwrap_or(0) as usize;
 
         let mut buffers = RoundBuffers::new(n);
         for i in 0..n {
@@ -497,6 +368,9 @@ impl<N: Node + Checkpointable> Simulator<N> {
             };
         }
 
+        let inconsistent_now = get_u64("inconsistent_now")? as usize;
+        let last_active = get_u64("last_active")? as usize;
+        get_u64("last_shards")?;
         Ok(Simulator {
             topo,
             nodes,
@@ -506,10 +380,9 @@ impl<N: Node + Checkpointable> Simulator<N> {
             bandwidth,
             cfg,
             stats,
-            inconsistent_now: get_u64("inconsistent_now")? as usize,
-            last_active: get_u64("last_active")? as usize,
-            last_shards: get_u64("last_shards")? as usize,
-            shard_peak_active,
+            inconsistent_now,
+            last_active,
+            peak_active,
             buffers,
         })
     }
@@ -525,6 +398,7 @@ impl<N: Node> Simulator<N> {
         self.round += 1;
         let round = self.round;
         let n = self.topo.n();
+        let sparse = self.cfg.engine == Engine::Sparse;
 
         if let Err(e) = self.topo.validate(batch) {
             panic!("invalid event batch at round {round}: {e}");
@@ -534,237 +408,92 @@ impl<N: Node> Simulator<N> {
         self.buffers.build_local(batch);
 
         // The engines differ only here: who is visited this round.
-        match self.cfg.engine {
-            Engine::Dense => self.buffers.activate_all(n),
-            Engine::Sparse => self.buffers.activate_local(),
+        if sparse {
+            self.buffers.activate_local();
+        } else {
+            self.buffers.activate_all(n);
         }
 
-        // Partition the active set into K contiguous id ranges. Both the
-        // shard count and the boundaries are pure functions of the round's
-        // data (plus config), never of thread schedule. Under `Balanced`
-        // the cuts are weighted by `1 + degree` so a hub decile does not
-        // pile into one shard; under `Chunked` they are the PR 6
-        // equal-count cuts.
-        let scheduling = self.cfg.scheduling;
-        let k = self.effective_shards();
-        self.last_shards = k;
-        self.buffers.ensure_shards(k);
-        let bounds = if k > 1 {
-            match scheduling {
-                Scheduling::Balanced => {
-                    let nbrs = &self.buffers.nbrs;
-                    weighted_ranges(&self.buffers.active, k, n, |_, id| {
-                        1 + nbrs[id as usize].len() as u64
-                    })
-                }
-                Scheduling::Chunked => shard_ranges(&self.buffers.active, k, n),
-            }
-        } else {
-            Vec::new()
-        };
-
-        // Region A — phases 1–2 plus routing expansion, one task per
-        // shard: each task owns the nodes and flag slots of its id range
-        // and writes traffic + bandwidth charges to its own scratch.
+        // Phases 1–2 plus routing expansion, fused per active node — the
+        // phases are node-local, so visiting each node once end-to-end is
+        // bit-identical to phase-by-phase sweeps. Charges land in global
+        // ascending sender order (per sender: flags, then payloads).
+        self.bandwidth.begin_round();
         {
-            let ShardParts {
+            let SendParts {
                 nbrs,
                 local,
                 active,
                 out_flags,
-                scratch,
-            } = self.buffers.shard_parts(k);
-            if k == 1 {
-                let mut task = TaskA {
-                    lo: 0,
-                    nodes: &mut self.nodes[..],
-                    out_flags,
-                    active,
-                    nbrs,
-                    local,
+                staged,
+                flag_stage,
+            } = self.buffers.send_parts();
+            let bandwidth = &mut self.bandwidth;
+            for &v in active {
+                let i = v as usize;
+                let from = NodeId(v);
+                let node = &mut self.nodes[i];
+                node.on_topology(round, local.of(i));
+                let outbox = node.send(round, &nbrs[i]);
+                out_flags[i] = outbox.flags;
+                if !outbox.flags.is_quiet() {
+                    let flag_bits = outbox.flags.bit_size(n);
+                    for &peer in &nbrs[i] {
+                        bandwidth.charge(from, peer, Edge::new(from, peer), flag_bits);
+                        flag_stage.push((peer, from));
+                    }
+                }
+                expand_outbox(
+                    from,
+                    outbox.payloads,
+                    &nbrs[i],
                     n,
                     round,
-                    scratch: &mut scratch[0],
-                };
-                run_region_a(&mut task);
-            } else {
-                let mut tasks: Vec<Mutex<TaskA<'_, N>>> = Vec::with_capacity(k);
-                let mut nodes_rest: &mut [N] = &mut self.nodes;
-                let mut flags_rest = out_flags;
-                let mut active_rest = active;
-                let mut scratch_rest = scratch;
-                let mut base = 0usize;
-                for s in 0..k {
-                    let hi = bounds[s + 1] as usize;
-                    let (node_slice, nr) = nodes_rest.split_at_mut(hi - base);
-                    let (flag_slice, fr) = flags_rest.split_at_mut(hi - base);
-                    let cut = active_rest.partition_point(|&v| (v as usize) < hi);
-                    let (active_slice, ar) = active_rest.split_at(cut);
-                    let (scr, sr) = scratch_rest.split_at_mut(1);
-                    tasks.push(Mutex::new(TaskA {
-                        lo: base,
-                        nodes: node_slice,
-                        out_flags: flag_slice,
-                        active: active_slice,
-                        nbrs,
-                        local,
-                        n,
-                        round,
-                        scratch: &mut scr[0],
-                    }));
-                    nodes_rest = nr;
-                    flags_rest = fr;
-                    active_rest = ar;
-                    scratch_rest = sr;
-                    base = hi;
-                }
-                run_shards(self.cfg.parallel, scheduling, k, &|s| {
-                    run_region_a(&mut tasks[s].lock().expect("shard task"));
-                });
+                    |to, msg, bits| {
+                        bandwidth.charge(from, to, Edge::new(from, to), bits);
+                        staged.push((to, from, msg));
+                    },
+                );
             }
         }
-
-        // Sequential exchange: replay the bandwidth charge logs shard by
-        // shard (= global ascending sender order, so `Enforce` panics and
-        // meter totals are identical to the unsharded engine), then merge
-        // the shards' sorted traffic runs and assemble the sparse inboxes.
-        self.bandwidth.begin_round();
-        for s in 0..k {
-            for ci in 0..self.buffers.shard_scratch[s].charges.len() {
-                let (from, to, bits) = self.buffers.shard_scratch[s].charges[ci];
-                self.bandwidth.charge(from, to, Edge::new(from, to), bits);
-            }
-            self.buffers.shard_scratch[s].charges.clear();
-        }
-        self.buffers.merge_shard_traffic(k);
         self.buffers.assemble_inboxes(round);
 
         let messages_this_round = self.bandwidth.round_messages();
         let bits_this_round = self.bandwidth.round_bits();
 
-        // Region B boundaries. The receiver list and its inbox CSR exist
-        // now, so `Balanced` cuts *them* directly — weighted by `1 +
-        // inbox size` — rather than reusing Region A's sender-side cuts,
-        // which skew badly when a hub's receivers span the whole id space.
-        // `Chunked` shares Region A's bounds, as PR 6 did. Receivers are
-        // partitioned by disjoint ascending id ranges either way, so the
-        // stitch order (= global ascending order) is unchanged.
-        let bounds_b = if k > 1 {
-            match scheduling {
-                Scheduling::Balanced => {
-                    let off = &self.buffers.inbox_off;
-                    weighted_ranges(&self.buffers.recv_nodes, k, n, |pos, _| {
-                        1 + (off[pos + 1] - off[pos]) as u64
-                    })
-                }
-                Scheduling::Chunked => bounds.clone(),
-            }
-        } else {
-            Vec::new()
-        };
-
-        // Region B — phases 3–4 plus next-active collection, one task per
-        // shard of the receiver list: receive, consistency scan, and
-        // survivor collection are all node-local, so each receiver is
-        // visited exactly once, in its owning shard.
+        // Phases 3–4 plus next-active collection, fused per receiver.
+        // Nodes outside the receiver set were idle (hence consistent) and
+        // received nothing, so scanning the receivers counts every
+        // inconsistent node and every next-round survivor.
         {
-            let collect_next = self.cfg.engine == Engine::Sparse;
             let RecvParts {
                 nbrs,
                 recv_nodes,
                 inbox,
                 inbox_off,
-                scratch,
-            } = self.buffers.recv_parts(k);
-            if k == 1 {
-                let mut task = TaskB {
-                    lo: 0,
-                    pos0: 0,
-                    nodes: &mut self.nodes[..],
-                    recv: recv_nodes,
-                    inbox,
-                    inbox_off,
-                    nbrs,
-                    round,
-                    collect_next,
-                    scratch: &mut scratch[0],
-                };
-                run_region_b(&mut task);
-            } else {
-                let mut tasks: Vec<Mutex<TaskB<'_, N>>> = Vec::with_capacity(k);
-                let mut nodes_rest: &mut [N] = &mut self.nodes;
-                let mut recv_rest = recv_nodes;
-                let mut scratch_rest = scratch;
-                let mut pos0 = 0usize;
-                let mut base = 0usize;
-                for s in 0..k {
-                    let hi = bounds_b[s + 1] as usize;
-                    let (node_slice, nr) = nodes_rest.split_at_mut(hi - base);
-                    let cut = recv_rest.partition_point(|&v| (v as usize) < hi);
-                    let (recv_slice, rr) = recv_rest.split_at(cut);
-                    let (scr, sr) = scratch_rest.split_at_mut(1);
-                    tasks.push(Mutex::new(TaskB {
-                        lo: base,
-                        pos0,
-                        nodes: node_slice,
-                        recv: recv_slice,
-                        inbox,
-                        inbox_off,
-                        nbrs,
-                        round,
-                        collect_next,
-                        scratch: &mut scr[0],
-                    }));
-                    nodes_rest = nr;
-                    recv_rest = rr;
-                    scratch_rest = sr;
-                    pos0 += recv_slice.len();
-                    base = hi;
+                inconsistent,
+                next_active,
+            } = self.buffers.recv_parts();
+            for (pos, &v) in recv_nodes.iter().enumerate() {
+                let i = v as usize;
+                let node = &mut self.nodes[i];
+                node.receive(round, &inbox[inbox_off[pos]..inbox_off[pos + 1]], &nbrs[i]);
+                if !node.is_consistent() {
+                    inconsistent.push(v);
                 }
-                run_shards(self.cfg.parallel, scheduling, k, &|s| {
-                    run_region_b(&mut tasks[s].lock().expect("shard task"));
-                });
+                if sparse && !node.idle() {
+                    next_active.push(v);
+                }
             }
         }
-
-        // Stitch the shard outputs back together. Shards own disjoint
-        // ascending id ranges, so concatenation in shard order *is* global
-        // ascending order — no sort, no merge.
-        self.buffers.inconsistent_idx.clear();
-        if self.cfg.engine == Engine::Sparse {
-            self.buffers.active.clear();
-        }
-        for s in 0..k {
-            self.buffers
-                .inconsistent_idx
-                .extend_from_slice(&self.buffers.shard_scratch[s].inconsistent);
-            self.buffers.shard_scratch[s].inconsistent.clear();
-            if self.cfg.engine == Engine::Sparse {
-                self.buffers
-                    .active
-                    .extend_from_slice(&self.buffers.shard_scratch[s].next_active);
-            }
-            self.buffers.shard_scratch[s].next_active.clear();
+        if sparse {
+            std::mem::swap(&mut self.buffers.active, &mut self.buffers.next_active);
         }
 
         let inconsistent = self.buffers.inconsistent_idx.len();
         self.inconsistent_now = inconsistent;
         self.last_active = self.buffers.recv_nodes.len();
-        if self.shard_peak_active.len() < k {
-            self.shard_peak_active.resize(k, 0);
-        }
-        if k == 1 {
-            self.shard_peak_active[0] = self.shard_peak_active[0].max(self.last_active);
-        } else {
-            let recv = &self.buffers.recv_nodes;
-            let mut start = 0usize;
-            for s in 0..k {
-                let hi = bounds_b[s + 1] as usize;
-                let cut = start + recv[start..].partition_point(|&v| (v as usize) < hi);
-                self.shard_peak_active[s] = self.shard_peak_active[s].max(cut - start);
-                start = cut;
-            }
-        }
+        self.peak_active = self.peak_active.max(self.last_active);
         self.meter
             .record_round(batch.len() as u64, inconsistent > 0);
         self.per_node.record_round_sparse(
@@ -780,209 +509,7 @@ impl<N: Node> Simulator<N> {
                 messages: messages_this_round,
                 bits: bits_this_round,
                 active_nodes: self.last_active,
-                shards: k,
             });
-        }
-    }
-
-    /// The shard count for this round: a pure function of the config, the
-    /// active-set size and the (fixed) worker-pool size.
-    fn effective_shards(&self) -> usize {
-        let active = self.buffers.active.len();
-        let k = match self.cfg.shards {
-            Shards::Fixed(k) => k.clamp(1, 1024),
-            Shards::Auto => {
-                let workers = Pool::global().workers();
-                if workers == 0 {
-                    1
-                } else {
-                    (active / 1024).clamp(1, workers + 1)
-                }
-            }
-        };
-        k.min(active.max(1))
-    }
-}
-
-/// `k + 1` non-decreasing node-id boundaries splitting the active set into
-/// `k` near-equal contiguous-id shards; shard `s` owns node ids
-/// `[bounds[s], bounds[s + 1])`. Requires `1 < k <= active.len()`. The
-/// [`Scheduling::Chunked`] (PR 6 compatibility) cut policy.
-fn shard_ranges(active: &[u32], k: usize, n: usize) -> Vec<u32> {
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0u32);
-    for s in 1..k {
-        let candidate = active[s * active.len() / k];
-        let prev = *bounds.last().expect("non-empty");
-        bounds.push(candidate.max(prev));
-    }
-    bounds.push(n as u32);
-    bounds
-}
-
-/// `k + 1` non-decreasing node-id boundaries splitting the ascending id
-/// list `ids` into `k` contiguous-id shards of near-equal total
-/// `weight(position, id)` — a deterministic prefix-sum split: cut `s`
-/// lands on the first id whose weight prefix reaches `s/k` of the total.
-/// A pure function of `(ids, k, weight)`, so boundaries can never depend
-/// on thread schedule. Requires `1 < k` and `ids` non-empty.
-fn weighted_ranges(
-    ids: &[u32],
-    k: usize,
-    n: usize,
-    mut weight: impl FnMut(usize, u32) -> u64,
-) -> Vec<u32> {
-    let mut total: u64 = 0;
-    for (pos, &id) in ids.iter().enumerate() {
-        total += weight(pos, id);
-    }
-    let mut bounds = Vec::with_capacity(k + 1);
-    bounds.push(0u32);
-    let mut prefix: u64 = 0;
-    let mut pos = 0usize;
-    for s in 1..k {
-        let target = ((total as u128 * s as u128) / k as u128) as u64;
-        while pos < ids.len() && prefix < target {
-            prefix += weight(pos, ids[pos]);
-            pos += 1;
-        }
-        let candidate = if pos < ids.len() { ids[pos] } else { n as u32 };
-        let prev = *bounds.last().expect("non-empty");
-        bounds.push(candidate.max(prev));
-    }
-    bounds.push(n as u32);
-    bounds
-}
-
-/// Run `f(s)` for every shard `s in 0..k` — over the worker pool when
-/// requested (and the pool is free), inline otherwise. `Balanced` submits
-/// to the work-stealing scheduler; `Chunked` to the legacy single-cursor
-/// path. Bit-identical every way: shard tasks write only disjoint state.
-fn run_shards(parallel: bool, scheduling: Scheduling, k: usize, f: &(dyn Fn(usize) + Sync)) {
-    if parallel && k > 1 {
-        match scheduling {
-            Scheduling::Balanced => Pool::global().run(k, 1, k, f),
-            Scheduling::Chunked => Pool::global().run_chunked(k, 1, k, f),
-        }
-    } else {
-        for s in 0..k {
-            f(s);
-        }
-    }
-}
-
-/// One shard's send-region task: disjoint mutable slices of the node and
-/// flag arrays for its id range `[lo, lo + nodes.len())`, the id-range
-/// slice of the active set, shared read-only round state, and the shard's
-/// private scratch.
-struct TaskA<'a, N: Node> {
-    lo: usize,
-    nodes: &'a mut [N],
-    out_flags: &'a mut [Flags],
-    active: &'a [u32],
-    nbrs: &'a [Vec<NodeId>],
-    local: LocalView<'a>,
-    n: usize,
-    round: Round,
-    scratch: &'a mut ShardScratch<N::Msg>,
-}
-
-/// Phases 1–2 plus routing expansion for one shard, fused per node — the
-/// phases are node-local, so visiting each active node once end-to-end is
-/// bit-identical to the former phase-by-phase sweeps. Leaves the shard's
-/// `staged`/`flag_stage` runs sorted by `(receiver, sender)` and its
-/// charge log in ascending sender order, ready for the sequential merge.
-fn run_region_a<N: Node>(t: &mut TaskA<'_, N>) {
-    let TaskA {
-        lo,
-        nodes,
-        out_flags,
-        active,
-        nbrs,
-        local,
-        n,
-        round,
-        scratch,
-    } = t;
-    let (lo, n, round) = (*lo, *n, *round);
-    for &v in *active {
-        let i = v as usize;
-        let from = NodeId(v);
-        let node = &mut nodes[i - lo];
-        node.on_topology(round, local.of(i));
-        let outbox = node.send(round, &nbrs[i]);
-        out_flags[i - lo] = outbox.flags;
-        if !outbox.flags.is_quiet() {
-            let flag_bits = outbox.flags.bit_size(n);
-            for &peer in &nbrs[i] {
-                scratch.charges.push((from, peer, flag_bits));
-                scratch.flag_stage.push((peer, from));
-            }
-        }
-        let charges = &mut scratch.charges;
-        let staged = &mut scratch.staged;
-        expand_outbox(
-            from,
-            outbox.payloads,
-            &nbrs[i],
-            n,
-            round,
-            |to, msg, bits| {
-                charges.push((from, to, bits));
-                staged.push((to, from, msg));
-            },
-        );
-    }
-    scratch
-        .staged
-        .sort_unstable_by_key(|&(to, from, _)| (to, from));
-    scratch.flag_stage.sort_unstable();
-}
-
-/// One shard's receive-region task: disjoint mutable access to its node
-/// range, the id-range slice of the receiver list (starting at global
-/// position `pos0`), the shared assembled inbox CSR, and private scratch.
-struct TaskB<'a, N: Node> {
-    lo: usize,
-    pos0: usize,
-    nodes: &'a mut [N],
-    recv: &'a [u32],
-    inbox: &'a [Received<N::Msg>],
-    inbox_off: &'a [usize],
-    nbrs: &'a [Vec<NodeId>],
-    round: Round,
-    collect_next: bool,
-    scratch: &'a mut ShardScratch<N::Msg>,
-}
-
-/// Phases 3–4 plus next-active collection for one shard, fused per
-/// receiver. Nodes outside the receiver set were idle (hence consistent)
-/// and received nothing, so scanning the receivers counts every
-/// inconsistent node and every next-round survivor.
-fn run_region_b<N: Node>(t: &mut TaskB<'_, N>) {
-    let TaskB {
-        lo,
-        pos0,
-        nodes,
-        recv,
-        inbox,
-        inbox_off,
-        nbrs,
-        round,
-        collect_next,
-        scratch,
-    } = t;
-    let (lo, pos0, round, collect_next) = (*lo, *pos0, *round, *collect_next);
-    for (off, &v) in recv.iter().enumerate() {
-        let i = v as usize;
-        let node = &mut nodes[i - lo];
-        let pos = pos0 + off;
-        node.receive(round, &inbox[inbox_off[pos]..inbox_off[pos + 1]], &nbrs[i]);
-        if !node.is_consistent() {
-            scratch.inconsistent.push(v);
-        }
-        if collect_next && !node.idle() {
-            scratch.next_active.push(v);
         }
     }
 }
@@ -1237,7 +764,7 @@ mod tests {
         assert!(quiet <= 3, "took {quiet} quiet rounds");
     }
 
-    /// The shared churn scenario of the equivalence tests below.
+    /// The churn scenario of the engine equivalence test below.
     fn churn_run<F: Fn(&Simulator<Greeter>) -> T, T>(cfg: SimConfig, probe: F) -> (Vec<u64>, T) {
         let mut sim: Simulator<Greeter> = Simulator::with_config(16, cfg);
         let mut rng_state = 0x9e3779b97f4a7c15u64;
@@ -1275,24 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let run = |parallel: bool| {
-            let cfg = SimConfig {
-                parallel,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                sim.stats()
-                    .iter()
-                    .map(|s| format!("{s:?}"))
-                    .collect::<Vec<_>>()
-            })
-        };
-        assert_eq!(run(false), run(true));
-    }
-
-    #[test]
     fn sparse_matches_dense_bit_for_bit() {
         let run = |engine: Engine| {
             let cfg = SimConfig {
@@ -1301,16 +810,14 @@ mod tests {
                 ..SimConfig::default()
             };
             churn_run(cfg, |sim| {
-                // Everything except `active_nodes` and `shards` (which
-                // measure the engine itself) must agree per round, plus
-                // all node state.
+                // Everything except `active_nodes` (which measures the
+                // engine itself) must agree per round, plus all node state.
                 let stats: Vec<String> = sim
                     .stats()
                     .iter()
                     .map(|s| {
                         let mut s = *s;
                         s.active_nodes = 0;
-                        s.shards = 0;
                         format!("{s:?}")
                     })
                     .collect();
@@ -1321,165 +828,6 @@ mod tests {
             })
         };
         assert_eq!(run(Engine::Sparse), run(Engine::Dense));
-    }
-
-    #[test]
-    fn shards_parse_from_str() {
-        assert_eq!("auto".parse::<Shards>(), Ok(Shards::Auto));
-        assert_eq!("4".parse::<Shards>(), Ok(Shards::Fixed(4)));
-        assert!("0".parse::<Shards>().is_err());
-        assert!("many".parse::<Shards>().is_err());
-    }
-
-    #[test]
-    fn scheduling_parses_from_str() {
-        assert_eq!("balanced".parse::<Scheduling>(), Ok(Scheduling::Balanced));
-        assert_eq!("chunked".parse::<Scheduling>(), Ok(Scheduling::Chunked));
-        assert!("stolen".parse::<Scheduling>().is_err());
-        assert_eq!(SimConfig::default().scheduling, Scheduling::Balanced);
-    }
-
-    /// The scheduling policy moves boundaries and pool queues, never bits:
-    /// `Balanced` and `Chunked` must agree with each other and with
-    /// `shards = 1`, inline and pooled.
-    #[test]
-    fn balanced_and_chunked_scheduling_are_bit_identical() {
-        let run = |shards: Shards, scheduling: Scheduling, parallel: bool| {
-            let cfg = SimConfig {
-                shards,
-                scheduling,
-                parallel,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                let stats: Vec<String> = sim
-                    .stats()
-                    .iter()
-                    .map(|s| {
-                        let mut s = *s;
-                        s.shards = 0;
-                        format!("{s:?}")
-                    })
-                    .collect();
-                let greeted: Vec<Vec<NodeId>> = (0..sim.n())
-                    .map(|v| sim.node(NodeId(v as u32)).greeted_by.clone())
-                    .collect();
-                (stats, greeted)
-            })
-        };
-        let base = run(Shards::Fixed(1), Scheduling::Balanced, false);
-        for k in [2, 3, 8] {
-            for scheduling in [Scheduling::Balanced, Scheduling::Chunked] {
-                for parallel in [false, true] {
-                    assert_eq!(
-                        base,
-                        run(Shards::Fixed(k), scheduling, parallel),
-                        "k={k} {scheduling:?} parallel={parallel}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Weighted cuts are a partition for any weight profile: ascending,
-    /// bracketed by 0 and n, and heavy ids pull boundaries toward
-    /// themselves without ever crossing.
-    #[test]
-    fn weighted_ranges_form_a_partition() {
-        let ids: Vec<u32> = (0..100u32).collect();
-        // Uniform weights reduce to near-equal-count cuts.
-        let b = weighted_ranges(&ids, 4, 128, |_, _| 1);
-        assert_eq!(b.first(), Some(&0));
-        assert_eq!(b.last(), Some(&128));
-        assert!(b.windows(2).all(|w| w[0] <= w[1]), "{b:?}");
-        assert_eq!(b, vec![0, 25, 50, 75, 128]);
-        // A hot first decile (like a hub workload) pushes every cut left.
-        let hot = weighted_ranges(&ids, 4, 128, |_, id| if id < 10 { 100 } else { 1 });
-        assert!(b.windows(2).all(|w| w[0] <= w[1]), "{hot:?}");
-        assert!(
-            hot[1] < 10,
-            "first cut must land inside the hot decile: {hot:?}"
-        );
-        // Degenerate: all weight on one id still yields a valid partition.
-        let one = weighted_ranges(&ids, 4, 128, |_, id| u64::from(id == 7));
-        assert_eq!(one.first(), Some(&0));
-        assert_eq!(one.last(), Some(&128));
-        assert!(one.windows(2).all(|w| w[0] <= w[1]), "{one:?}");
-    }
-
-    /// `Shards` policies are re-evaluated from the *current* round's
-    /// active set: a run that goes quiet collapses back to one shard (the
-    /// no-alloc path) instead of keeping its busiest round's count.
-    #[test]
-    fn quiet_rounds_collapse_to_one_shard() {
-        let cfg = SimConfig {
-            shards: Shards::Fixed(8),
-            record_stats: true,
-            ..SimConfig::default()
-        };
-        let mut sim: Simulator<NeighborSet> = Simulator::with_config(32, cfg);
-        let mut b = EventBatch::new();
-        for v in 0..16u32 {
-            b.push_insert(edge(v, v + 16));
-        }
-        sim.step(&b);
-        assert_eq!(sim.stats()[0].shards, 8, "busy round shards out");
-        sim.step_quiet();
-        let last = sim.stats().last().expect("recorded");
-        assert_eq!(last.active_nodes, 0, "run went quiet");
-        assert_eq!(last.shards, 1, "quiet round must collapse to one shard");
-    }
-
-    /// Structural sharding: `Fixed(K)` must be bit-identical to
-    /// `Fixed(1)` for every `K`, inline and pooled, including per-round
-    /// stats (modulo the `shards` column itself) and all meters.
-    #[test]
-    fn sharded_matches_single_shard_bit_for_bit() {
-        let run = |shards: Shards, parallel: bool| {
-            let cfg = SimConfig {
-                shards,
-                parallel,
-                record_stats: true,
-                ..SimConfig::default()
-            };
-            churn_run(cfg, |sim| {
-                let stats: Vec<String> = sim
-                    .stats()
-                    .iter()
-                    .map(|s| {
-                        let mut s = *s;
-                        s.shards = 0;
-                        format!("{s:?}")
-                    })
-                    .collect();
-                let greeted: Vec<Vec<NodeId>> = (0..sim.n())
-                    .map(|v| sim.node(NodeId(v as u32)).greeted_by.clone())
-                    .collect();
-                (stats, greeted)
-            })
-        };
-        let base = run(Shards::Fixed(1), false);
-        for k in [2, 3, 8] {
-            assert_eq!(base, run(Shards::Fixed(k), false), "k={k} inline");
-            assert_eq!(base, run(Shards::Fixed(k), true), "k={k} pooled");
-        }
-    }
-
-    #[test]
-    fn shard_peaks_are_tracked() {
-        let cfg = SimConfig {
-            shards: Shards::Fixed(2),
-            ..SimConfig::default()
-        };
-        let mut sim: Simulator<Greeter> = Simulator::with_config(8, cfg);
-        let mut b = EventBatch::new();
-        b.push_insert(edge(0, 1));
-        b.push_insert(edge(6, 7));
-        sim.step(&b);
-        assert_eq!(sim.shards(), 2);
-        assert_eq!(sim.shard_peak_active().len(), 2);
-        assert_eq!(sim.shard_peak_active().iter().sum::<usize>(), 8);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Skewed-activity churn: most topology changes touch a small *hot* id
 //! range. With the default decile hot set (`hot_ids = n/10`) and endpoint
 //! bias 0.7, well over 60 % of all edge endpoints land in the first id
-//! decile — the load profile where uniform shard boundaries collapse onto
-//! one worker while activity-weighted boundaries stay balanced. Shrinking
+//! decile, so a few nodes carry most of the round engine's work. Shrinking
 //! `hot_ids` to a handful of nodes turns the same generator into a hub
 //! workload (a few nodes on almost every change).
 //!

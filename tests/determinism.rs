@@ -1,21 +1,20 @@
-//! Engine determinism: neither `SimConfig::parallel` nor
+//! Engine determinism: neither the thread a run executes on nor
 //! `SimConfig::engine` may change anything but wall-clock.
 //!
 //! Two differentials:
 //!
 //! - **parallel vs sequential** (proptests below): for random (workload,
-//!   n, rounds, seed) tuples, a parallel and a sequential run of the same
-//!   protocol must produce bit-identical meters, bandwidth totals,
-//!   per-round stats, and query responses at every node.
+//!   n, rounds, seed) tuples, a run on a spawned thread and a run on the
+//!   test thread, executing concurrently, must produce bit-identical
+//!   meters, bandwidth totals, per-round stats, and query responses at
+//!   every node — no process-global state leaks into a simulation, which
+//!   is what lets the sweep scheduler fan independent runs out.
 //! - **sparse vs dense** (`sparse_engine_matches_dense_for_every_protocol`):
 //!   every registry protocol × er/flicker/sliding/p2p, stepped round by
 //!   round through erased sessions under both engines — meters compared to
 //!   `f64::to_bits` after *every* round, per-round stats (minus the
-//!   engine-measuring `active_nodes`/`shards` fields), and every supported
-//!   query kind answered identically mid-run and at the end.
-//!
-//! Shard-count invariance has its own differential layer in
-//! `tests/shard_invariance.rs`.
+//!   engine-measuring `active_nodes` field), and every supported query
+//!   kind answered identically mid-run and at the end.
 
 use dynamic_subgraphs::net::{
     edge, engine, Engine, NodeId, Query, QueryKind, Session, SimConfig, Simulator, Trace,
@@ -37,9 +36,8 @@ fn build(workload: &str, n: usize, rounds: usize, seed: u64) -> Trace {
     .expect("registered workload")
 }
 
-fn cfg(parallel: bool) -> SimConfig {
+fn cfg() -> SimConfig {
     SimConfig {
-        parallel,
         record_stats: true,
         ..SimConfig::default()
     }
@@ -76,8 +74,11 @@ where
     N: dynamic_subgraphs::net::Node,
     Q: Fn(&N) -> String + Copy,
 {
-    let seq: Simulator<N> = engine::drive(trace, cfg(false));
-    let par: Simulator<N> = engine::drive(trace, cfg(true));
+    let (seq, par) = std::thread::scope(|s| {
+        let par = s.spawn(|| engine::drive::<N>(trace, cfg()));
+        let seq: Simulator<N> = engine::drive(trace, cfg());
+        (seq, par.join().expect("parallel run"))
+    });
     let a = fingerprint(&seq, query);
     let b = fingerprint(&par, query);
     assert_eq!(a.0, b.0, "{label}: meters diverged");
@@ -213,16 +214,13 @@ fn assert_engines_identical(protocol: &str, trace: &Trace, label: &str) {
             );
         }
     }
-    // Per-round stats, minus the fields that measure the engine itself
-    // (`shards` under `Shards::Auto` follows the active-set size, which
-    // legitimately differs between the engines on multi-core hosts).
+    // Per-round stats, minus the field that measures the engine itself.
     let scrub = |s: &Session| -> Vec<String> {
         s.stats()
             .iter()
             .map(|st| {
                 let mut st = *st;
                 st.active_nodes = 0;
-                st.shards = 0;
                 format!("{st:?}")
             })
             .collect()

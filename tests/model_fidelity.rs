@@ -151,8 +151,8 @@ fn scale_free_hub_stress() {
     );
 }
 
-/// The rayon-parallel simulator path must be bit-identical to the
-/// sequential one for every protocol in the suite.
+/// A run on a spawned worker thread must be bit-identical to the same run
+/// on the test thread for every protocol in the suite.
 #[test]
 fn parallel_execution_is_deterministic_for_all_protocols() {
     let trace = record(
@@ -167,11 +167,14 @@ fn parallel_execution_is_deterministic_for_all_protocols() {
     );
 
     fn fingerprint<N: Node>(trace: &Trace, parallel: bool) -> (u64, u64, usize, Vec<u64>) {
-        let cfg = SimConfig {
-            parallel,
-            ..SimConfig::default()
-        };
-        let mut sim: Simulator<N> = Simulator::with_config(trace.n, cfg);
+        if parallel {
+            return std::thread::scope(|s| {
+                s.spawn(|| fingerprint::<N>(trace, false))
+                    .join()
+                    .expect("worker run")
+            });
+        }
+        let mut sim: Simulator<N> = Simulator::with_config(trace.n, SimConfig::default());
         let mut inconsistent_series = Vec::new();
         for b in &trace.batches {
             sim.step(b);
